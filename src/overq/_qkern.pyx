@@ -1,16 +1,12 @@
 # cython: language_level=3
 """Compiled coefficient and enumeration kernels.
 
-Same contracts as overq._qkern_py; see that module for documentation.
-Coefficient values stay Python objects (Fraction or int) so everything is
-exact and arbitrary precision; the speedup comes from typed loop indices
-and C-level recursion in the partition walks.
+Same contracts as overq._qkern_py, which documents them; the spread walk
+window_diff_counts lives only there.  Coefficient values stay Python
+objects (Fraction or int) so everything is exact and arbitrary precision;
+the speedup comes from typed loop indices and C-level recursion in the
+partition walks.
 """
-
-MODE_BOUNDED = 0
-MODE_EXACT = 1
-MODE_PBAR = 2
-MODE_G = 3
 
 
 def convolve(a, b, Py_ssize_t n_out):
@@ -119,52 +115,6 @@ def box_weighted_counts(int max_part, int max_parts):
     acc[0] = 1
     if max_part >= 1 and max_parts >= 1:
         _box_rec(acc, max_part, max_parts, 0, 1)
-    return acc
-
-
-cdef object _UNIT = 1
-
-cdef void _window_rec(list acc, int n_max, int top, int mode,
-                      int last, int total, int nd):
-    cdef int v, tot, nd1
-    for v in range(last + 1, top + 1):
-        tot = total + v
-        if tot > n_max:
-            break
-        nd1 = nd + 1
-        while True:
-            if mode == MODE_PBAR:
-                acc[tot] = acc[tot] + (_UNIT << nd1)
-            elif mode == MODE_BOUNDED:
-                acc[tot] = acc[tot] + 1
-            elif mode == MODE_G:
-                acc[tot] = acc[tot] + (_UNIT << (nd1 - 1 if v == top else nd1))
-            elif v == top:
-                acc[tot] = acc[tot] + 1
-            _window_rec(acc, n_max, top, mode, v, tot, nd1)
-            tot += v
-            if tot > n_max:
-                break
-
-
-def window_diff_counts(int n_max, int t, int mode):
-    cdef list acc = [0] * (n_max + 1)
-    cdef int m, tot
-    for m in range(1, n_max + 1):
-        tot = 0
-        while True:
-            tot += m
-            if tot > n_max:
-                break
-            if mode == MODE_PBAR:
-                acc[tot] = acc[tot] + 2
-            elif mode == MODE_BOUNDED:
-                acc[tot] = acc[tot] + 1
-            elif mode == MODE_G:
-                acc[tot] = acc[tot] + (1 if t == 0 else 2)
-            elif t == 0:
-                acc[tot] = acc[tot] + 1
-            _window_rec(acc, n_max, m + t, mode, m, tot, 1)
     return acc
 
 

@@ -1,17 +1,12 @@
 """Pure-Python coefficient and enumeration kernels.
 
-Mirror of the compiled module ``overq._qkern``; ``overq.kernels`` selects
-whichever is available.  Coefficient kernels work on dense sequences indexed
-from the window's lowest exponent and never mutate their inputs.  Enumeration
-kernels walk partition trees once per call and accumulate exact integer
-counts, so results are arbitrary precision by construction.
+The compiled module ``overq._qkern`` mirrors every kernel here except
+``window_diff_counts``; ``overq.kernels`` selects the backend.  Coefficient
+kernels work on dense sequences indexed from the window's lowest exponent
+and never mutate their inputs.  Enumeration kernels walk partition trees
+once per call and accumulate exact integer counts, so results are
+arbitrary precision by construction.
 """
-
-# Modes for window_diff_counts: which statistic a walk accumulates.
-MODE_BOUNDED = 0  # partitions with largest - smallest <= t
-MODE_EXACT = 1    # partitions with largest - smallest == t
-MODE_PBAR = 2     # overpartitions (weight 2**distinct), spread <= t
-MODE_G = 3        # as MODE_PBAR, but the weight halves when spread == t
 
 
 def convolve(a, b, n_out):
@@ -122,60 +117,52 @@ def box_weighted_counts(max_part, max_parts):
     return acc
 
 
-def window_diff_counts(n_max, t, mode):
-    """Partition counts with the part spread constrained to a width-t window.
+def window_diff_counts(n_max, t):
+    """Partition counts by exact spread and number of distinct part values.
 
-    Entry n (1 <= n <= n_max) accumulates, over partitions of n whose parts
-    all lie in [smallest, smallest + t], the statistic selected by mode:
+    Returns c with c[s][d][n] the number of partitions of n (1 <= n <= n_max)
+    with spread (largest part minus smallest) exactly s and d distinct part
+    values, for 0 <= s <= t.  Row c[s] holds d = 0..min(s + 1, d_max), where
+    d_max is the largest d with d*(d+1)/2 <= n_max: no partition of n_max or
+    less has more distinct values.  Entry n = 0 and row d = 0 are always 0,
+    since the empty partition has no smallest part.
 
-    * MODE_BOUNDED: 1 per partition (spread <= t).
-    * MODE_EXACT:   1 per partition with spread exactly t.
-    * MODE_PBAR:    2**distinct per partition (spread <= t).
-    * MODE_G:       2**distinct, halved when the spread is exactly t.
-
-    Entry 0 is always 0: the empty partition has no smallest part.
+    Each partition with spread at most t is visited once and adds 1 to one
+    entry, so any statistic of (spread, distinct values) follows by weighted
+    sums over the rows.
     """
-    acc = [0] * (n_max + 1)
+    d_max = 0
+    while (d_max + 1) * (d_max + 2) // 2 <= n_max:
+        d_max += 1
+    acc = [
+        [[0] * (n_max + 1) for _ in range(min(s + 1, d_max) + 1)]
+        for s in range(t + 1)
+    ]
 
     for m in range(1, n_max + 1):
         top = m + t
 
         def rec(last, total, nd):
-            for v in range(last + 1, top + 1):
-                tot = total + v
-                if tot > n_max:
-                    break
-                nd1 = nd + 1
-                while True:
-                    if mode == MODE_PBAR:
-                        acc[tot] += 1 << nd1
-                    elif mode == MODE_BOUNDED:
-                        acc[tot] += 1
-                    elif mode == MODE_G:
-                        acc[tot] += 1 << (nd1 - 1 if v == top else nd1)
-                    elif v == top:
-                        acc[tot] += 1
-                    rec(v, tot, nd1)
-                    tot += v
-                    if tot > n_max:
-                        break
+            # Add each value in (last, top] with multiplicity >= 1; a call is
+            # made only when at least one more value fits.
+            nd += 1
+            for v in range(last + 1, min(top, n_max - total) + 1):
+                row = acc[v - m][nd]
+                deeper = v < top
+                lim = n_max - v
+                for tot in range(total + v, n_max + 1, v):
+                    row[tot] += 1
+                    if deeper and tot < lim:
+                        rec(v, tot, nd)
 
         # The smallest part m appears at least once; larger values are
         # optional and strictly increasing, so each multiset is hit once.
-        tot = 0
-        while True:
-            tot += m
-            if tot > n_max:
-                break
-            if mode == MODE_PBAR:
-                acc[tot] += 2
-            elif mode == MODE_BOUNDED:
-                acc[tot] += 1
-            elif mode == MODE_G:
-                acc[tot] += 1 if t == 0 else 2
-            elif t == 0:
-                acc[tot] += 1
-            rec(m, tot, 1)
+        row = acc[0][1]
+        lim = n_max - m
+        for tot in range(m, n_max + 1, m):
+            row[tot] += 1
+            if t and tot < lim:
+                rec(m, tot, 1)
     return acc
 
 

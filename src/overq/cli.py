@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .enumeration import count_opbar_total, oracle_series
+from .enumeration import oracle_series
 from .identities import (
     ALL_CHECKS,
     gf_G,
@@ -37,6 +37,7 @@ _ORACLE_KIND = {
     "p_bounded": "p_t",
     "p_exact": "p_exact_t",
     "d": "d",
+    "overline_total": "opbar_total",
 }
 _T_FREE = ("d", "overline_total")
 
@@ -81,8 +82,6 @@ def _formula_values(kind: str, t: Optional[int], n_max: int) -> List[Fraction]:
 
 
 def _oracle_values(kind: str, t: Optional[int], n_max: int) -> List[int]:
-    if kind == "overline_total":
-        return [count_opbar_total(n) for n in range(1, n_max + 1)]
     s = oracle_series(_ORACLE_KIND[kind], t, n_max)
     return [int(coeff(s, n)) for n in range(1, n_max + 1)]
 

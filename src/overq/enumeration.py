@@ -7,22 +7,24 @@ an identity check.  An overpartition is a partition in which the final
 partition with d distinct values yields 2**d overpartitions.  The spread of
 a partition is its largest part minus its smallest.
 
-The count_* functions share one cached counting sweep per (statistic, t)
-pair; :func:`iter_overpartitions` is a second, independent strategy that
+The spread statistics share one held walk that counts partitions by exact
+spread and number of distinct values; every statistic and every spread
+bound it covers follows by weighted sums over its rows (see _HeldWalk for
+when it walks again).  The overpartition totals hold a walk of their own.
+:func:`iter_overpartitions` is a second, independent strategy that
 materializes every overline choice and is used to cross-check the weighted
-sweeps at small sizes.
+walks at small sizes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from . import kernels
 from .series import QSeries
 
-ORACLE_KINDS = ("pbar_t", "g_t", "p_t", "p_exact_t", "d")
+ORACLE_KINDS = ("pbar_t", "g_t", "p_t", "p_exact_t", "d", "opbar_total")
 
 
 def divisor_count(n: int) -> int:
@@ -54,46 +56,85 @@ def _require_t(t: int) -> None:
         raise ValueError(f"spread bound t must be >= 0, got {t}")
 
 
-def _chunk(n: int) -> int:
-    # Cache sweeps on rounded-up sizes so scans over n reuse one walk.
-    return ((n + 31) // 32) * 32
+class _HeldWalk:
+    """The table of the last walk, reused for every request it covers.
+
+    A walk to size n_hi with spread bound t_hi covers a request (n, t) when
+    n <= n_hi and t <= t_hi.  A request it does not cover replaces it by a
+    walk of exactly (n, t).
+    """
+
+    def __init__(self, walk: Callable[[int, int], list]):
+        self._walk = walk
+        self.clear()
+
+    def clear(self) -> None:
+        self.n_hi = self.t_hi = -1
+        self.table: list = []
+
+    def get(self, n: int, t: int = 0) -> list:
+        if n > self.n_hi or t > self.t_hi:
+            self.table = self._walk(n, t)
+            self.n_hi, self.t_hi = n, t
+        return self.table
 
 
-@lru_cache(maxsize=None)
-def _window_counts(t: int, n_hi: int, mode: int) -> Tuple[int, ...]:
-    return tuple(kernels.window_diff_counts(n_hi, t, mode))
+# The walks are looked up in kernels at each call, so that wrappers put
+# there see them.  c[s][d][n]: partitions of n with spread s and d distinct
+# values.  Every partition of n or less has spread below n, so a request for
+# sizes up to n asks for spread bound at most n, which gives the same
+# counts as any larger bound.
+_SPREADS = _HeldWalk(lambda n, t: kernels.window_diff_counts(n, t))
+# Entry n: overpartitions of n.  This walk visits every spread and takes no
+# bound, so its requests leave t at 0.
+_TOTALS = _HeldWalk(lambda n, _t: kernels.all_partition_weighted_counts(n))
 
 
-@lru_cache(maxsize=None)
-def _total_counts(n_hi: int) -> Tuple[int, ...]:
-    return tuple(kernels.all_partition_weighted_counts(n_hi))
+def _spread_counts(kind: str, t: int, lo: int, hi: int) -> List[int]:
+    """Entries n = lo..hi of a spread statistic, as weighted row sums.
+
+    p_t counts partitions with spread s <= t, p_exact_t those with s == t;
+    pbar_t weighs each by 2**d (its overpartitions), and g_t does too except
+    at s == t, where the largest part may not be overlined: 2**(d-1).
+    """
+    t = min(t, hi)
+    rows = _SPREADS.get(hi, t)
+    out = [0] * (hi + 1 - lo)
+    for s in (t,) if kind == "p_exact_t" else range(t + 1):
+        for d in range(1, len(rows[s])):
+            if kind in ("p_t", "p_exact_t"):
+                w = 1
+            else:
+                w = 1 << (d - 1 if kind == "g_t" and s == t else d)
+            out = [o + w * c for o, c in zip(out, rows[s][d][lo : hi + 1])]
+    return out
 
 
 def count_p_bounded_diff(n: int, t: int) -> int:
     """Partitions of n with spread at most t."""
     _require_n(n)
     _require_t(t)
-    return _window_counts(t, _chunk(n), kernels.MODE_BOUNDED)[n]
+    return _spread_counts("p_t", t, n, n)[0]
 
 
 def count_p_exact_diff(n: int, t: int) -> int:
     """Partitions of n with spread exactly t."""
     _require_n(n)
     _require_t(t)
-    return _window_counts(t, _chunk(n), kernels.MODE_EXACT)[n]
+    return _spread_counts("p_exact_t", t, n, n)[0]
 
 
 def count_opbar_total(n: int) -> int:
     """All overpartitions of n."""
     _require_n(n)
-    return _total_counts(_chunk(n))[n]
+    return _TOTALS.get(n)[n]
 
 
 def count_opbar_bounded(n: int, t: int) -> int:
     """Overpartitions of n whose underlying partition has spread at most t."""
     _require_n(n)
     _require_t(t)
-    return _window_counts(t, _chunk(n), kernels.MODE_PBAR)[n]
+    return _spread_counts("pbar_t", t, n, n)[0]
 
 
 def count_g(n: int, t: int) -> int:
@@ -102,7 +143,7 @@ def count_g(n: int, t: int) -> int:
     overline choices survive)."""
     _require_n(n)
     _require_t(t)
-    return _window_counts(t, _chunk(n), kernels.MODE_G)[n]
+    return _spread_counts("g_t", t, n, n)[0]
 
 
 def over_qbinom_box_oracle(m: int, n: int) -> QSeries:
@@ -122,25 +163,22 @@ def oracle_series(kind: str, t: Optional[int], n_max: int) -> QSeries:
 
     kind selects the statistic: "pbar_t" (count_opbar_bounded), "g_t"
     (count_g), "p_t" (count_p_bounded_diff), "p_exact_t"
-    (count_p_exact_diff) or "d" (divisor_count; t is ignored).  The window
-    is [1, n_max + 1).
+    (count_p_exact_diff), "d" (divisor_count) or "opbar_total"
+    (count_opbar_total); t is ignored by the last two.  The window is
+    [1, n_max + 1).
     """
     if kind not in ORACLE_KINDS:
         raise ValueError(f"unknown oracle kind {kind!r}")
     _require_n(n_max)
     if kind == "d":
         counts = [divisor_count(n) for n in range(1, n_max + 1)]
+    elif kind == "opbar_total":
+        counts = _TOTALS.get(n_max)[1 : n_max + 1]
     else:
-        mode = {
-            "pbar_t": kernels.MODE_PBAR,
-            "g_t": kernels.MODE_G,
-            "p_t": kernels.MODE_BOUNDED,
-            "p_exact_t": kernels.MODE_EXACT,
-        }[kind]
         if t is None:
             raise ValueError(f"oracle kind {kind!r} needs the parameter t")
         _require_t(t)
-        counts = list(_window_counts(t, _chunk(n_max), mode)[1 : n_max + 1])
+        counts = _spread_counts(kind, t, 1, n_max)
     return QSeries._make(1, n_max + 1, counts)
 
 
@@ -182,21 +220,40 @@ class OverPartition:
 def iter_partitions(
     n: int, max_part: Optional[int] = None, min_part: int = 1
 ) -> Iterator[Tuple[int, ...]]:
-    """All partitions of n with parts in [min_part, max_part], largest first."""
+    """All partitions of n with parts in [min_part, max_part], largest first.
+
+    Iterative, so the depth of a partition is bounded by memory, not by the
+    interpreter's recursion limit.
+
+    Raises:
+        ValueError: if min_part < 1.
+    """
+    if min_part < 1:
+        raise ValueError(f"parts must be positive, got min_part {min_part}")
     if max_part is None or max_part > n:
         max_part = n
-
-    def rec(remaining, cap, prefix):
-        if remaining == 0:
-            yield prefix
-            return
-        for v in range(min(cap, remaining), min_part - 1, -1):
-            yield from rec(remaining - v, v, prefix + (v,))
-
     if n == 0:
         yield ()
-    elif n >= 1 and min_part <= max_part:
-        yield from rec(n, max_part, ())
+        return
+    if n < 1 or min_part > max_part:
+        return
+    parts = []
+    remaining = n
+    v = max_part  # the next value to try after the parts chosen so far
+    while True:
+        if v >= min_part:
+            parts.append(v)
+            remaining -= v
+            if remaining:
+                v = min(v, remaining)
+                continue
+            yield tuple(parts)
+        elif not parts:
+            return
+        # Replace the last part by the next smaller value.
+        last = parts.pop()
+        remaining += last
+        v = last - 1
 
 
 def _subsets(values):

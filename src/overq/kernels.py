@@ -1,9 +1,11 @@
 """Kernel backend selection.
 
 The hot inner loops (Cauchy products, unit inversion, binomial-factor
-sweeps, partition walks) live twice: compiled in ``overq._qkern`` and in
-pure Python in ``overq._qkern_py``.  Both expose the same functions and
-produce identical exact results; this module picks one at import time.
+sweeps, the box and totals partition walks) live twice: compiled in
+``overq._qkern`` and in pure Python in ``overq._qkern_py``.  Both expose
+the same functions and produce identical exact results; this module picks
+one at import time.  The spread walk ``window_diff_counts`` exists only in
+pure Python and is bound to it whatever the backend.
 
 Set OVERQ_KERNEL=pure or OVERQ_KERNEL=compiled to force a backend
 (``compiled`` raises ImportError when the extension is missing); the
@@ -32,15 +34,10 @@ else:
 
 BACKEND = "pure" if _impl is _qkern_py else "compiled"
 
-MODE_BOUNDED = _qkern_py.MODE_BOUNDED
-MODE_EXACT = _qkern_py.MODE_EXACT
-MODE_PBAR = _qkern_py.MODE_PBAR
-MODE_G = _qkern_py.MODE_G
-
 convolve = _impl.convolve
 invert_unit = _impl.invert_unit
 mul_one_minus = _impl.mul_one_minus
 div_one_minus = _impl.div_one_minus
 box_weighted_counts = _impl.box_weighted_counts
-window_diff_counts = _impl.window_diff_counts
+window_diff_counts = _qkern_py.window_diff_counts
 all_partition_weighted_counts = _impl.all_partition_weighted_counts

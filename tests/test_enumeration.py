@@ -117,6 +117,39 @@ def test_iter_partitions_bounds():
         (3, 3), (2, 2, 2)
     ]
     assert list(iter_partitions(3, max_part=1)) == [(1, 1, 1)]
+    with pytest.raises(ValueError):
+        list(iter_partitions(3, min_part=0))
+
+
+def recursive_partitions(n, max_part=None, min_part=1):
+    """The former recursive iter_partitions, kept as the reference order."""
+    if max_part is None or max_part > n:
+        max_part = n
+
+    def rec(remaining, cap, prefix):
+        if remaining == 0:
+            yield prefix
+            return
+        for v in range(min(cap, remaining), min_part - 1, -1):
+            yield from rec(remaining - v, v, prefix + (v,))
+
+    if n == 0:
+        yield ()
+    elif n >= 1 and min_part <= max_part:
+        yield from rec(n, max_part, ())
+
+
+def test_iter_partitions_matches_the_recursive_order():
+    for n in range(-1, 21):
+        for max_part in (None, *range(-1, 23)):
+            for min_part in range(1, 23):
+                assert list(iter_partitions(n, max_part, min_part)) == \
+                    list(recursive_partitions(n, max_part, min_part)), \
+                    (n, max_part, min_part)
+
+
+def test_iter_partitions_has_no_depth_limit():
+    assert list(iter_partitions(1200, max_part=1)) == [(1,) * 1200]
 
 
 def test_overpartition_objects_validate():

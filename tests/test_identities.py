@@ -102,6 +102,17 @@ def test_direct_sums_match_closed_forms():
     assert ok
 
 
+def test_direct_sums_raise_on_a_misplaced_summand(monkeypatch):
+    from overq import identities
+
+    real = identities.monomial
+    monkeypatch.setattr(identities, "monomial",
+                        lambda c, m, prec: real(c, m + 1, prec))
+    for direct in (gf_pbar_direct, gf_g_direct):
+        with pytest.raises(RuntimeError, match="summand m=1 "):
+            direct(1, 6)
+
+
 def test_gf_overline_total_values():
     s = gf_overline_total(26)
     assert coeff(s, 0) == 1

@@ -1,0 +1,166 @@
+"""The shared spread walk: its derived statistics against the per-statistic
+walk it replaced, its raw table against flag-materializing enumeration, and
+the sizes the held oracle tables walk to."""
+
+import pytest
+
+from overq import enumeration, kernels
+from overq.cli import main
+from overq.enumeration import (
+    count_p_exact_diff,
+    iter_overpartitions,
+    oracle_series,
+)
+from overq.identities import run_checks
+from overq.series import coeff
+
+# -- reference: the former one-statistic-per-walk kernel, kept verbatim ------------
+
+MODE_BOUNDED = 0  # partitions with largest - smallest <= t
+MODE_EXACT = 1    # partitions with largest - smallest == t
+MODE_PBAR = 2     # overpartitions (weight 2**distinct), spread <= t
+MODE_G = 3        # as MODE_PBAR, but the weight halves when spread == t
+
+
+def reference_window_diff_counts(n_max, t, mode):
+    """Partition counts with the part spread constrained to a width-t window.
+
+    Entry n (1 <= n <= n_max) accumulates, over partitions of n whose parts
+    all lie in [smallest, smallest + t], the statistic selected by mode:
+
+    * MODE_BOUNDED: 1 per partition (spread <= t).
+    * MODE_EXACT:   1 per partition with spread exactly t.
+    * MODE_PBAR:    2**distinct per partition (spread <= t).
+    * MODE_G:       2**distinct, halved when the spread is exactly t.
+
+    Entry 0 is always 0: the empty partition has no smallest part.
+    """
+    acc = [0] * (n_max + 1)
+
+    for m in range(1, n_max + 1):
+        top = m + t
+
+        def rec(last, total, nd):
+            for v in range(last + 1, top + 1):
+                tot = total + v
+                if tot > n_max:
+                    break
+                nd1 = nd + 1
+                while True:
+                    if mode == MODE_PBAR:
+                        acc[tot] += 1 << nd1
+                    elif mode == MODE_BOUNDED:
+                        acc[tot] += 1
+                    elif mode == MODE_G:
+                        acc[tot] += 1 << (nd1 - 1 if v == top else nd1)
+                    elif v == top:
+                        acc[tot] += 1
+                    rec(v, tot, nd1)
+                    tot += v
+                    if tot > n_max:
+                        break
+
+        # The smallest part m appears at least once; larger values are
+        # optional and strictly increasing, so each multiset is hit once.
+        tot = 0
+        while True:
+            tot += m
+            if tot > n_max:
+                break
+            if mode == MODE_PBAR:
+                acc[tot] += 2
+            elif mode == MODE_BOUNDED:
+                acc[tot] += 1
+            elif mode == MODE_G:
+                acc[tot] += 1 if t == 0 else 2
+            elif t == 0:
+                acc[tot] += 1
+            rec(m, tot, 1)
+    return acc
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """Record every oracle walk, starting and ending with empty tables."""
+    calls = []
+    for name in ("window_diff_counts", "all_partition_weighted_counts"):
+        def recorded(*args, _walk=getattr(kernels, name), _name=name):
+            calls.append((_name, args))
+            return _walk(*args)
+        monkeypatch.setattr(kernels, name, recorded)
+    enumeration._SPREADS.clear()
+    enumeration._TOTALS.clear()
+    yield calls
+    enumeration._SPREADS.clear()
+    enumeration._TOTALS.clear()
+
+
+def spread_walks(calls):
+    return [args for name, args in calls if name == "window_diff_counts"]
+
+
+# -- the derived statistics against the per-statistic walks ------------------------
+
+
+def test_every_statistic_matches_the_per_statistic_walk(walks):
+    modes = {"p_t": MODE_BOUNDED, "p_exact_t": MODE_EXACT,
+             "pbar_t": MODE_PBAR, "g_t": MODE_G}
+    for t in range(8, -1, -1):
+        for kind, mode in modes.items():
+            want = reference_window_diff_counts(64, t, mode)[1:]
+            s = oracle_series(kind, t, 64)
+            assert [coeff(s, n) for n in range(1, 65)] == want, (kind, t)
+    assert spread_walks(walks) == [(64, 8)]
+
+
+def test_walk_table_matches_flag_enumeration():
+    table = kernels.window_diff_counts(12, 4)
+    for n in range(1, 13):
+        flags = {}
+        for op in iter_overpartitions(n):
+            parts = op.partition.parts
+            key = (op.partition.spread(), len(set(parts)))
+            all_, top_free = flags.get(key, (0, 0))
+            flags[key] = (all_ + 1, top_free + (parts[0] not in op.overlined))
+        for s in range(5):
+            for d in range(len(table[s])):
+                # d distinct values give 2**d overline choices, half of them
+                # with the largest part plain.
+                c = table[s][d][n]
+                want = (c << d, c << d >> 1)
+                assert flags.get((s, d), (0, 0)) == want, (n, s, d)
+            assert all(table[s][d][0] == 0 for d in range(len(table[s])))
+
+
+# -- walk sizes ----------------------------------------------------------------------
+
+
+def test_cold_request_walks_exactly_its_size(walks):
+    oracle_series("p_t", 6, 65)
+    assert spread_walks(walks) == [(65, 6)]
+
+
+def test_check_suite_walks_once(walks):
+    reports = run_checks("all", 8, 60)
+    assert all(r.passed for r in reports)
+    assert spread_walks(walks) == [(60, 8)]
+
+
+def test_overline_total_table_walks_to_n_max(walks, capsys):
+    assert main(["table", "--kind", "overline_total", "--n-max", "33",
+                 "--source", "oracle"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 34
+    assert walks == [("all_partition_weighted_counts", (33,))]
+
+
+def test_covered_request_reuses_the_held_table(walks):
+    oracle_series("p_t", 6, 65)
+    oracle_series("g_t", 3, 40)
+    oracle_series("p_t", 6, 66)
+    assert spread_walks(walks) == [(65, 6), (66, 6)]
+
+
+def test_ascending_scan(walks):
+    for n in range(1, 201):
+        assert count_p_exact_diff(n, 0) == enumeration.divisor_count(n)
+    assert spread_walks(walks) == [(n, 0) for n in range(1, 201)]
