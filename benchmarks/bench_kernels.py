@@ -4,7 +4,9 @@ Runs each hot kernel on both backends and prints a comparison table.  The
 spread walk has no compiled twin, so its row times the pure backend only.
 Fraction-coefficient workloads are included deliberately: there the cost
 is Fraction arithmetic itself, so the extension cannot win much and the
-table should show that honestly.
+table should show that honestly.  The int rows are the paths the series
+layer takes for integer series (every generating function here): plain
+int multiply-add, and a unit inverse with constant term 1 and no division.
 
 Usage: python3 benchmarks/bench_kernels.py [--heavy]
 """
@@ -42,6 +44,7 @@ def workloads(heavy):
     frac_a = [Fraction(i % 7 - 3, i % 3 + 1) for i in range(n_frac)]
     frac_b = [Fraction((i * 5) % 11 - 5, i % 4 + 1) for i in range(n_frac)]
     unit = [Fraction(1)] + frac_a[1:]
+    int_unit = [1] + [(i * 3) % 7 - 3 for i in range(1, n_frac)]
     int_a = [(i * 7) % 23 - 11 for i in range(n_int)]
     int_b = [(i * 5) % 19 - 9 for i in range(n_int)]
 
@@ -59,6 +62,8 @@ def workloads(heavy):
          lambda mod: mod.convolve(int_a, int_b, n_int), 3, True),
         (f"invert_unit Fraction {n_frac}",
          lambda mod: mod.invert_unit(unit, n_frac), 3, True),
+        (f"invert_unit int {n_frac}",
+         lambda mod: mod.invert_unit(int_unit, n_frac), 3, True),
         (f"binomial pipeline 80 factors @{prec}",
          binom_pipeline, 3, True),
         (f"box walk {box}x{box}",

@@ -3,10 +3,13 @@
 
 Same contracts as overq._qkern_py, which documents them; the spread walk
 window_diff_counts lives only there.  Coefficient values stay Python
-objects (Fraction or int) so everything is exact and arbitrary precision;
-the speedup comes from typed loop indices and C-level recursion in the
-partition walks.
+objects, int | Fraction (never float or bool), so everything is exact and
+arbitrary precision: ints stay ints, and invert_unit divides through
+Fraction only when the unit's constant term is not +-1.  The speedup comes
+from typed loop indices and C-level recursion in the partition walks.
 """
+
+from fractions import Fraction
 
 
 def convolve(a, b, Py_ssize_t n_out):
@@ -33,10 +36,12 @@ def convolve(a, b, Py_ssize_t n_out):
 
 def invert_unit(c, Py_ssize_t n_out):
     cdef object c0 = c[0]
+    cdef bint unit = c0 == 1 or c0 == -1
+    cdef object neg = -c0
     cdef Py_ssize_t lc = len(c)
     cdef Py_ssize_t k, i, hi
     cdef object s, ci
-    cdef list out = [1 / c0 if c0 != 1 else c0]
+    cdef list out = [c0 if unit else Fraction(1, c0)]
     for k in range(1, n_out):
         hi = k + 1
         if hi > lc:
@@ -46,7 +51,12 @@ def invert_unit(c, Py_ssize_t n_out):
             ci = c[i]
             if ci:
                 s = s + ci * out[k - i]
-        out.append(-s / c0 if s else 0 * c0)
+        if not s:
+            out.append(0 * c0)
+        elif unit:
+            out.append(s * neg)
+        else:
+            out.append(Fraction(-s, c0))
     return out
 
 

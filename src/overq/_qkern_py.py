@@ -3,10 +3,15 @@
 The compiled module ``overq._qkern`` mirrors every kernel here except
 ``window_diff_counts``; ``overq.kernels`` selects the backend.  Coefficient
 kernels work on dense sequences indexed from the window's lowest exponent
-and never mutate their inputs.  Enumeration kernels walk partition trees
-once per call and accumulate exact integer counts, so results are
-arbitrary precision by construction.
+and never mutate their inputs.  A coefficient is an exact rational,
+``int | Fraction`` (never a float or a bool): multiply-add keeps ints as
+ints, and only ``invert_unit`` divides, through Fraction, when the unit's
+constant term is not +-1.  Enumeration kernels walk partition trees once
+per call and accumulate exact integer counts, so results are arbitrary
+precision by construction.
 """
+
+from fractions import Fraction
 
 
 def convolve(a, b, n_out):
@@ -33,11 +38,16 @@ def convolve(a, b, n_out):
 def invert_unit(c, n_out):
     """Reciprocal of a unit: (c * out)[k] = (k == 0), for k < n_out.
 
-    Requires c[0] != 0.  Division happens only by c[0]; everything else is
-    multiply-accumulate, so exactness is preserved.
+    Requires c[0] != 0.  Division happens only by c[0]: when c[0] is +-1
+    it is a sign change, so int input gives int output; any other c[0]
+    divides through Fraction.  Everything else is multiply-accumulate, so
+    exactness is preserved.
     """
     c0 = c[0]
-    out = [1 / c0 if c0 != 1 else c0]
+    unit = c0 == 1 or c0 == -1
+    # For c0 = +-1, 1/c0 == c0 and -s/c0 == -s*c0.
+    out = [c0 if unit else Fraction(1, c0)]
+    neg = -c0
     lc = len(c)
     for k in range(1, n_out):
         hi = k + 1
@@ -48,7 +58,12 @@ def invert_unit(c, n_out):
             ci = c[i]
             if ci:
                 s = s + ci * out[k - i]
-        out.append(-s / c0 if s else 0 * c0)
+        if not s:
+            out.append(0 * c0)
+        elif unit:
+            out.append(s * neg)
+        else:
+            out.append(Fraction(-s, c0))
     return out
 
 

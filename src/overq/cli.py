@@ -26,7 +26,7 @@ from .identities import (
     run_checks,
 )
 from .qfunctions import over_qbinom_sum
-from .series import QSeries, coeff
+from .series import QSeries, Rational, coeff
 
 TABLE_KINDS = ("pbar", "g", "p_bounded", "p_exact", "d", "overline_total")
 COEFF_GFS = ("th1", "th2", "bk", "abr", "overline_total", "oqbinom")
@@ -76,7 +76,7 @@ def _formula_series(kind: str, t: Optional[int], prec: int) -> QSeries:
     return gf_overline_total(prec)
 
 
-def _formula_values(kind: str, t: Optional[int], n_max: int) -> List[Fraction]:
+def _formula_values(kind: str, t: Optional[int], n_max: int) -> List[Rational]:
     s = _formula_series(kind, t, n_max + 1)
     return [coeff(s, n) for n in range(1, n_max + 1)]
 
@@ -206,7 +206,7 @@ def _coeff_series(args: argparse.Namespace, prec: int) -> QSeries:
     return gf_abr(args.t, prec)
 
 
-def format_coeff(value: Fraction) -> Tuple[str, bool]:
+def format_coeff(value: Rational) -> Tuple[str, bool]:
     """Render an exact coefficient; the flag marks a non-integer value."""
     if value.denominator == 1:
         return str(value.numerator), False

@@ -173,15 +173,17 @@ def gf_abr(t: int, prec: int) -> QSeries:
     """
     if t < 2:
         raise ValueError(f"gf_abr needs t >= 2, got {t}")
-    p1 = mul_one_minus(monomial(1, t - 1, prec), 1, 1)
+    # The q^t monomial needs a window past t even when prec is smaller.
+    work = max(prec, t + 1)
+    p1 = mul_one_minus(monomial(1, t - 1, work), 1, 1)
     p1 = div_one_minus(div_one_minus(p1, 1, t), 1, t - 1)
     p2 = p1.scale(-1)
     for k in range(1, t + 1):
         p2 = div_one_minus(p2, 1, k)
-    p3 = div_one_minus(monomial(1, t, prec), 1, t - 1)
+    p3 = div_one_minus(monomial(1, t, work), 1, t - 1)
     for k in range(1, t + 1):
         p3 = div_one_minus(p3, 1, k)
-    return add(add(p1, p2), p3)
+    return add(add(p1, p2), p3).truncate(prec)
 
 
 def gf_p_exact_low(t: int, prec: int) -> QSeries:

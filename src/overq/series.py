@@ -6,9 +6,12 @@ contract; coefficients at ``prec`` and above are unspecified.  Every
 operation is pure: values are immutable and results are new objects whose
 window is the largest one the inputs can justify.
 
-There is no floating point anywhere in this module.  Coefficients are
-:class:`fractions.Fraction` (plain ints are accepted and coerced); floats
-are rejected outright.
+There is no floating point anywhere in this module.  A coefficient is an
+exact rational, ``int | Fraction``: ints stay plain ints through every ring
+operation, and a :class:`fractions.Fraction` appears only after a true
+division: a unit inverse whose constant term is not +-1, a reciprocal 1/g
+with g != +-1, or a Fraction supplied by the caller (such as a 1/2
+scalar).  Floats and bools are rejected outright.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from . import kernels
 
 Rational = Union[int, Fraction]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ZERO = 0
+_ONE = 1
 
 
 class QSeriesError(Exception):
@@ -45,22 +48,34 @@ class NotInvertibleError(QSeriesError):
     """Inversion failed: every known coefficient is zero."""
 
 
-def _coerce(value) -> Fraction:
-    """Turn an exact rational into Fraction; refuse inexact types."""
-    if type(value) is Fraction:
+def _coerce(value) -> Rational:
+    """Check a coefficient is an exact rational: an int stays a plain int,
+    a Fraction stays a Fraction.  Floats, bools and every other type raise
+    TypeError."""
+    if type(value) is int or type(value) is Fraction:
         return value
+    if isinstance(value, bool):
+        raise TypeError("exact rational required, got bool")
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     if isinstance(value, Fraction):
         return value
     raise TypeError(f"exact rational required, got {type(value).__name__}")
+
+
+def _div(num: Rational, den: Rational) -> Rational:
+    """Exact num / den.  Division by +-1 is a sign change and keeps the
+    operand types; any other divisor goes through Fraction."""
+    if den == 1 or den == -1:
+        return num * den
+    return Fraction(num, den)
 
 
 @dataclass(frozen=True)
 class QMonomial:
     """A single exact term coeff * q^exp with coeff != 0."""
 
-    coeff: Fraction
+    coeff: Rational
     exp: int
 
     def __post_init__(self):
@@ -74,7 +89,7 @@ class QMonomial:
         return QMonomial(self.coeff * other.coeff, self.exp + other.exp)
 
     def __truediv__(self, other: "QMonomial") -> "QMonomial":
-        return QMonomial(self.coeff / other.coeff, self.exp - other.exp)
+        return QMonomial(_div(self.coeff, other.coeff), self.exp - other.exp)
 
     def to_series(self, prec: int) -> "QSeries":
         return monomial(self.coeff, self.exp, prec)
@@ -90,7 +105,7 @@ class QSeries:
 
     lo: int
     prec: int
-    coeffs: Tuple[Fraction, ...]
+    coeffs: Tuple[Rational, ...]
 
     def __init__(self, lo: int, prec: int, coeffs: Iterable[Rational]):
         cs = tuple(_coerce(c) for c in coeffs)
@@ -115,13 +130,18 @@ class QSeries:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "prec", prec)
         object.__setattr__(
-            self, "coeffs", tuple(c if type(c) is Fraction else _coerce(c) for c in coeffs)
+            self,
+            "coeffs",
+            tuple(
+                c if type(c) is int or type(c) is Fraction else _coerce(c)
+                for c in coeffs
+            ),
         )
         return self
 
     # -- queries -----------------------------------------------------------
 
-    def coeff(self, e: int) -> Fraction:
+    def coeff(self, e: int) -> Rational:
         """Coefficient of q^e.  Exact zero below the window; error above it.
 
         Raises:
@@ -227,7 +247,7 @@ class QSeries:
         return f"QSeries({self})"
 
 
-def _term_str(c: Fraction, e: int) -> str:
+def _term_str(c: Rational, e: int) -> str:
     if e == 0:
         return str(c)
     q = "q" if e == 1 else f"q^{e}"
@@ -242,8 +262,8 @@ class MismatchInfo(NamedTuple):
     """First disagreeing coefficient found by equal_to_order."""
 
     exponent: int
-    lhs: Fraction
-    rhs: Fraction
+    lhs: Rational
+    rhs: Rational
 
 
 # -- constructors -------------------------------------------------------------
@@ -356,7 +376,7 @@ def div(a: QSeries, b: QSeries) -> QSeries:
     return mul(a, invert(b))
 
 
-def coeff(a: QSeries, e: int) -> Fraction:
+def coeff(a: QSeries, e: int) -> Rational:
     return a.coeff(e)
 
 
@@ -399,7 +419,7 @@ def mul_one_minus(a: QSeries, g: Rational, k: int) -> QSeries:
         return a.scale(1 - g)
     if k < 0:
         # (1 - g*q^k) = (-g*q^k) * (1 - (1/g)*q^{-k})
-        return mul_one_minus(a, 1 / g, -k).times_monomial(-g, k)
+        return mul_one_minus(a, _div(1, g), -k).times_monomial(-g, k)
     return QSeries._make(a.lo, a.prec, kernels.mul_one_minus(a.coeffs, g, k))
 
 
@@ -411,7 +431,8 @@ def div_one_minus(a: QSeries, g: Rational, k: int) -> QSeries:
     if k == 0:
         if g == 1:
             raise NotInvertibleError("division by (1 - q^0) which is zero")
-        return a.scale(1 / (1 - g))
+        return a.scale(_div(1, 1 - g))
     if k < 0:
-        return div_one_minus(a.times_monomial(-1 / g, -k), 1 / g, -k)
+        inv = _div(1, g)
+        return div_one_minus(a.times_monomial(-inv, -k), inv, -k)
     return QSeries._make(a.lo, a.prec, kernels.div_one_minus(a.coeffs, g, k))

@@ -116,6 +116,17 @@ def test_table_usage_errors(capsys):
     assert exc.value.code == 2
 
 
+def test_table_exact_spread_below_t_prints_zeros(capsys):
+    # n-max < t: no partition of n <= n-max has spread exactly t, so both
+    # columns are zero; the closed form needs a window past q^t to build.
+    code, out, err = run_cli(
+        capsys, "table", "--kind", "p_exact", "--t", "3", "--n-max", "2",
+        "--source", "both",
+    )
+    assert (code, err) == (0, "")
+    assert out == "n,formula,oracle,match\n1,0,0,true\n2,0,0,true\n"
+
+
 def test_table_oracle_allows_t_zero_for_g(capsys):
     code, out, _ = run_cli(
         capsys, "table", "--kind", "g", "--t", "0", "--n-max", "4",
@@ -225,6 +236,14 @@ def test_coeff_beyond_polynomial_degree_is_zero(capsys):
         capsys, "coeff", "--gf", "oqbinom", "--M", "2", "--N", "2", "--n", "9"
     )
     assert code == 0 and out == "0\n"
+
+
+def test_coeff_exact_spread_below_t(capsys):
+    # spread exactly 5 needs n >= 1 + 6; below that the coefficient is 0
+    assert run_cli(capsys, "coeff", "--gf", "abr", "--t", "5", "--n", "2") \
+        == (0, "0\n", "")
+    assert run_cli(capsys, "coeff", "--gf", "abr", "--t", "5", "--n", "7") \
+        == (0, "1\n", "")
 
 
 def test_coeff_usage_errors(capsys):

@@ -113,6 +113,35 @@ def test_direct_sums_raise_on_a_misplaced_summand(monkeypatch):
             direct(1, 6)
 
 
+_BUILDERS = [
+    # (name, builder(t, prec), oracle kind, spread bounds t)
+    ("gf_G", gf_G, "g_t", range(1, 9)),
+    ("gf_g_direct", gf_g_direct, "g_t", range(1, 9)),
+    ("gf_pbar", gf_pbar, "pbar_t", range(0, 9)),
+    ("gf_pbar_direct", gf_pbar_direct, "pbar_t", range(0, 9)),
+    ("gf_bk", gf_bk, "p_t", range(1, 9)),
+    ("gf_abr", gf_abr, "p_exact_t", range(2, 9)),
+    ("gf_p_exact_low", gf_p_exact_low, "p_exact_t", range(0, 2)),
+    ("gf_overline_total", lambda t, prec: gf_overline_total(prec),
+     "opbar_total", [None]),
+    ("lambert_divisor", lambda t, prec: lambert_divisor(prec), "d", [None]),
+]
+
+
+@pytest.mark.parametrize(
+    "build, kind, ts", [b[1:] for b in _BUILDERS], ids=[b[0] for b in _BUILDERS]
+)
+def test_builders_give_int_series_equal_to_the_oracles(build, kind, ts):
+    # Every closed form here has integer coefficients and no true division,
+    # so the series layer must keep them plain ints end to end.
+    order = 60
+    for t in ts:
+        s = build(t, order + 1)
+        assert all(type(c) is int for c in s.coeffs), t
+        want = oracle_series(kind, t, order)
+        assert [coeff(s, n) for n in range(1, order + 1)] == list(want.coeffs), t
+
+
 def test_gf_overline_total_values():
     s = gf_overline_total(26)
     assert coeff(s, 0) == 1

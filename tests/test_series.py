@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from overq.series import (
     EmptyWindowError,
@@ -73,12 +75,24 @@ def test_from_terms_rejects_exponent_at_or_above_prec():
 
 
 def test_floats_are_rejected_everywhere():
-    with pytest.raises(TypeError):
-        from_terms([(0, 0.5)], 3)
-    with pytest.raises(TypeError):
-        QMonomial(0.5, 1)
-    with pytest.raises(TypeError):
-        one(4).scale(1.5)
+    # bools are ints to Python but not exact rationals to the series layer
+    for bad in (0.5, True, False):
+        with pytest.raises(TypeError):
+            from_terms([(0, bad)], 3)
+        with pytest.raises(TypeError):
+            QMonomial(bad, 1)
+        with pytest.raises(TypeError):
+            one(4).scale(bad)
+        with pytest.raises(TypeError):
+            one(4) * bad
+        with pytest.raises(TypeError):
+            one(4).times_monomial(bad, 1)
+        with pytest.raises(TypeError):
+            QSeries(0, 2, [1, bad])
+        with pytest.raises(TypeError):
+            mul_one_minus(one(4), bad, 1)
+        with pytest.raises(TypeError):
+            div_one_minus(one(4), bad, 1)
 
 
 def test_monomial_requires_nonzero_coeff():
@@ -346,3 +360,86 @@ def test_integer_pipelines_stay_integral():
         s = mul_one_minus(s, -1, k)
     s = mul_one_minus(s, 2, 6)
     assert all(c.denominator == 1 for c in s.coeffs)
+
+
+# -- int coefficients and the Fraction slow path -------------------------------------
+#
+# A coefficient is int | Fraction.  Ring operations on int series return int
+# series; the same operations on all-Fraction copies take the slow path and
+# must give equal coefficients.  Neither path may ever produce a float.
+
+
+@st.composite
+def int_series(draw, unit=False):
+    lo = draw(st.integers(-3, 3))
+    width = draw(st.integers(1, 10))
+    coeffs = draw(st.lists(st.integers(-40, 40), min_size=width, max_size=width))
+    if unit:
+        coeffs[0] = draw(st.sampled_from((1, -1)))
+    return QSeries(lo, lo + width, coeffs)
+
+
+def as_fractions(s):
+    return QSeries(s.lo, s.prec, [F(c) for c in s.coeffs])
+
+
+def assert_no_float(s, name):
+    assert all(type(c) is int or type(c) is F for c in s.coeffs), name
+
+
+def ring_ops(a, b, u, r, m, e, g, k):
+    return {
+        "add": add(a, b),
+        "sub": a - b,
+        "mul": mul(a, b),
+        "invert": invert(u),
+        "div": div(a, u),
+        "scale": a.scale(r),
+        "times_monomial": a.times_monomial(m, e),
+        "mul_one_minus": mul_one_minus(a, g, k),
+        "div_one_minus": div_one_minus(u, g, k),
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    a=int_series(), b=int_series(), u=int_series(unit=True),
+    r=st.integers(-9, 9), m=st.integers(-9, 9), e=st.integers(-4, 4),
+    g=st.integers(-5, 5), k=st.integers(1, 6),
+)
+def test_int_ops_stay_int_and_match_fraction_path(a, b, u, r, m, e, g, k):
+    fast = ring_ops(a, b, u, r, m, e, g, k)
+    slow = ring_ops(
+        as_fractions(a), as_fractions(b), as_fractions(u), F(r), F(m), e, F(g), k
+    )
+    for name, s in fast.items():
+        assert all(type(c) is int for c in s.coeffs), name
+        f = slow[name]
+        assert_no_float(f, name)
+        assert all(type(c) is F for c in f.coeffs if c), name
+        assert (s.lo, s.prec, s.coeffs) == (f.lo, f.prec, f.coeffs), name
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    a=int_series(), c0=st.integers(-6, 6).filter(lambda c: c not in (-1, 0, 1)),
+    g=st.integers(-5, 5).filter(lambda g: g not in (0, 1)), k=st.integers(-4, 0),
+    num=st.integers(-9, 9).filter(bool), den=st.integers(-9, 9).filter(bool),
+)
+def test_true_divisions_give_fractions_not_floats(a, c0, g, k, num, den):
+    unit = QSeries(a.lo, a.prec, (c0,) + a.coeffs[1:])
+    inv = invert(unit)
+    assert_no_float(inv, "invert")
+    assert type(inv.coeffs[0]) is F and inv.coeffs[0] == F(1, c0)
+    assert inv == invert(as_fractions(unit))
+    for name, s in (
+        ("mul_one_minus", mul_one_minus(a, g, k)),
+        ("div_one_minus", div_one_minus(a, g, k)),
+    ):
+        assert_no_float(s, name)
+    back = div_one_minus(mul_one_minus(a, g, k), g, k)
+    ok, mismatch = equal_to_order(back, a, min(back.prec, a.prec) - 1)
+    assert ok, mismatch
+    quotient = QMonomial(num, 2) / QMonomial(den, 1)
+    assert quotient.exp == 1 and quotient.coeff == F(num, den)
+    assert type(quotient.coeff) is (int if den in (1, -1) else F)
