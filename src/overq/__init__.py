@@ -1,7 +1,9 @@
 """Exact q-series toolkit for overpartition counting with bounded part spread.
 
-The package has five layers:
+The package has six layers:
 
+* :mod:`overq.kernels` -- the hot inner loops: coefficient products, unit
+  inversion, one-minus factors and the partition walks.
 * :mod:`overq.series` -- truncated Laurent series over exact rationals.
 * :mod:`overq.qfunctions` -- Pochhammer symbols, Gaussian and overpartition
   q-binomials, and a basic hypergeometric series evaluator.

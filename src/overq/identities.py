@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-from typing import List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .enumeration import divisor_count, oracle_series
 from .qfunctions import PhiSpec, over_qbinom_sum, phi, pochhammer_inf, verify_chu
@@ -68,14 +68,16 @@ def lambert_divisor(prec: int) -> QSeries:
     return QSeries._make(1, prec, coeffs)
 
 
+def _times_ratio(s: QSeries, lo: int, hi: int) -> QSeries:
+    """s * prod_{k=lo}^{hi} (1 + q^k)/(1 - q^k); s itself when hi < lo."""
+    for k in range(lo, hi + 1):
+        s = div_one_minus(mul_one_minus(s, -1, k), 1, k)
+    return s
+
+
 def _ratio_minus_one(t: int, prec: int) -> QSeries:
     """(-q;q)_t / (q;q)_t - 1: nonempty overpartitions with parts <= t."""
-    s = one(prec)
-    for k in range(1, t + 1):
-        s = mul_one_minus(s, -1, k)
-    for k in range(1, t + 1):
-        s = div_one_minus(s, 1, k)
-    return add(s, one(prec).scale(-1))
+    return add(_times_ratio(one(prec), 1, t), one(prec).scale(-1))
 
 
 def gf_G(t: int, prec: int) -> QSeries:
@@ -95,8 +97,11 @@ def gf_pbar(t: int, prec: int) -> QSeries:
     if t < 0:
         raise ValueError(f"gf_pbar needs t >= 0, got {t}")
     acc = lambert_divisor(prec)
+    minus_one = one(prec).scale(-1)
+    ratio = one(prec)  # (-q;q)_n/(q;q)_n, extended by one factor per n
     for n in range(1, t + 1):
-        term = div_one_minus(_ratio_minus_one(n, prec), 1, n)
+        ratio = _times_ratio(ratio, n, n)
+        term = div_one_minus(add(ratio, minus_one), 1, n)
         acc = add(acc, term.scale(-1 if n % 2 else 1))
     return acc.scale(2 if t % 2 == 0 else -2)
 
@@ -120,10 +125,7 @@ def gf_pbar_direct(t: int, prec: int) -> QSeries:
         raise ValueError(f"gf_pbar_direct needs t >= 0, got {t}")
     acc = zero(prec)
     for m in range(1, prec):
-        s = div_one_minus(monomial(2, m, prec), 1, m)
-        for j in range(1, t + 1):
-            s = mul_one_minus(s, -1, m + j)
-            s = div_one_minus(s, 1, m + j)
+        s = _times_ratio(div_one_minus(monomial(2, m, prec), 1, m), m + 1, m + t)
         _require_valuation(s, m)
         acc = add(acc, s)
     return acc
@@ -137,10 +139,7 @@ def gf_g_direct(t: int, prec: int) -> QSeries:
         raise ValueError(f"gf_g_direct needs t >= 1, got {t}")
     acc = zero(prec)
     for m in range(1, prec):
-        s = div_one_minus(monomial(2, m, prec), 1, m)
-        for j in range(1, t):
-            s = mul_one_minus(s, -1, m + j)
-            s = div_one_minus(s, 1, m + j)
+        s = _times_ratio(div_one_minus(monomial(2, m, prec), 1, m), m + 1, m + t - 1)
         s = div_one_minus(s, 1, m + t)
         _require_valuation(s, m)
         acc = add(acc, s)
@@ -342,10 +341,7 @@ def check_three_cases(t: int, order: int) -> VerificationReport:
     case2_direct = zero(prec)
     m = 1
     while 2 * m + t < prec:
-        s = div_one_minus(monomial(2, m, prec), 1, m)
-        for j in range(1, t):
-            s = mul_one_minus(s, -1, m + j)
-            s = div_one_minus(s, 1, m + j)
+        s = _times_ratio(div_one_minus(monomial(2, m, prec), 1, m), m + 1, m + t - 1)
         s = div_one_minus(s.times_monomial(1, m + t), 1, m + t)
         case2_direct = add(case2_direct, s)
         m += 1
@@ -397,15 +393,14 @@ def proof_chain_theorem1(
     prec = order + 1
     steps: List[QSeries] = []
 
+    # The prefactor q(-q;q)_t/((1+q)(q;q)_{t+1}) of (ii) and (iii) is also
+    # the m = 1 summand of (i).
+    pref = _times_ratio(monomial(1, 1, prec), 1, t)
+    pref = div_one_minus(div_one_minus(pref, 1, t + 1), -1, 1)
+
     # (i): incremental summand updates; B_{m+1}/B_m =
     # q (1-q^m)(1+q^{m+t}) / ((1+q^{m+1})(1-q^{m+t+1})).
-    b = monomial(1, 1, prec)
-    for k in range(1, t + 1):
-        b = mul_one_minus(b, -1, k)
-    for k in range(1, t + 2):
-        b = div_one_minus(b, 1, k)
-    b = div_one_minus(b, -1, 1)
-    acc = b
+    b = acc = pref
     for m in range(2, prec):
         b = b.times_monomial(1, 1)
         b = mul_one_minus(b, 1, m - 1)
@@ -414,13 +409,6 @@ def proof_chain_theorem1(
         b = div_one_minus(b, 1, m + t)
         acc = add(acc, b)
     steps.append(acc)
-
-    pref = monomial(1, 1, prec)
-    for k in range(1, t + 1):
-        pref = mul_one_minus(pref, -1, k)
-    pref = div_one_minus(pref, -1, 1)
-    for k in range(1, t + 2):
-        pref = div_one_minus(pref, 1, k)
 
     # (ii)
     q = QMonomial(1, 1)
@@ -460,12 +448,7 @@ def proof_chain_theorem1(
             prec,
         )
     )
-    f = one(prec)
-    for k in range(1, t + 1):
-        f = mul_one_minus(f, -1, k)
-    for k in range(1, t + 1):
-        f = div_one_minus(f, 1, k)
-    f = div_one_minus(f, 1, t)
+    f = div_one_minus(_times_ratio(one(prec), 1, t), 1, t)
     steps.append(mul(f, add(phi4, one(prec).scale(-1))).scale(Fraction(-1, 2)))
 
     # (v)
@@ -535,21 +518,27 @@ def check_corollary(t: int, n_max: int) -> VerificationReport:
 
 # -- check runner -----------------------------------------------------------------
 
-# Lowest admissible t (or termination index for chu) per check family.
-CHECK_MINIMUM = {
-    "th1": 1,
-    "th2": 0,
-    "bk": 1,
-    "abr": 2,
-    "oqbinom": 0,
-    "relation": 1,
-    "cases": 1,
-    "proofchain": 1,
-    "chu": 0,
-    "corollary": 0,
+# Check family -> (lowest admissible t, or termination index for chu;
+# runner(t, order, inject_mismatch)).  Each runner names its check function
+# at call time, so a replacement set on this module is the one that runs.
+_Runner = Callable[[int, int, bool], VerificationReport]
+CHECKS: Dict[str, Tuple[int, _Runner]] = {
+    "th1": (1, lambda t, order, bad: check_th1(t, order, _corrupt=bad)),
+    "th2": (0, lambda t, order, bad: check_th2(t, order)),
+    "bk": (1, lambda t, order, bad: check_bk(t, order)),
+    "abr": (2, lambda t, order, bad: check_abr(t, order)),
+    "oqbinom": (0, lambda t, order, bad: check_oqbinom_pbar(t, order)),
+    "relation": (1, lambda t, order, bad: check_pbar_g_relation(t, order)),
+    "cases": (1, lambda t, order, bad: check_three_cases(t, order)),
+    "proofchain": (1, lambda t, order, bad: proof_chain_theorem1(t, order)),
+    "chu": (0, lambda t, order, bad: verify_chu(
+        QMonomial(-1, 0), t, QMonomial(-1, 1), order + 1)),
+    "corollary": (0, lambda t, order, bad: check_corollary(t, order)),
 }
 
-ALL_CHECKS = tuple(sorted(CHECK_MINIMUM))
+CHECK_MINIMUM = {name: lo for name, (lo, _) in CHECKS.items()}
+
+ALL_CHECKS = tuple(sorted(CHECKS))
 
 
 def run_checks(
@@ -563,12 +552,12 @@ def run_checks(
     inject_mismatch corrupts the th1 closed form (test hook).
     """
     _require_order(order)
-    if selector != "all" and selector not in CHECK_MINIMUM:
+    if selector != "all" and selector not in CHECKS:
         raise ValueError(f"unknown check {selector!r}")
     names = ALL_CHECKS if selector == "all" else (selector,)
     reports: List[VerificationReport] = []
     for name in names:
-        lo = CHECK_MINIMUM[name]
+        lo, runner = CHECKS[name]
         if t_max < lo:
             if selector == "all":
                 continue
@@ -577,27 +566,6 @@ def run_checks(
             )
         # Largest t first: its oracle walk covers every smaller t.
         for t in range(t_max, lo - 1, -1):
-            if name == "th1":
-                reports.append(check_th1(t, order, _corrupt=inject_mismatch))
-            elif name == "th2":
-                reports.append(check_th2(t, order))
-            elif name == "bk":
-                reports.append(check_bk(t, order))
-            elif name == "abr":
-                reports.append(check_abr(t, order))
-            elif name == "oqbinom":
-                reports.append(check_oqbinom_pbar(t, order))
-            elif name == "relation":
-                reports.append(check_pbar_g_relation(t, order))
-            elif name == "cases":
-                reports.append(check_three_cases(t, order))
-            elif name == "proofchain":
-                reports.append(proof_chain_theorem1(t, order))
-            elif name == "chu":
-                reports.append(
-                    verify_chu(QMonomial(-1, 0), t, QMonomial(-1, 1), order + 1)
-                )
-            elif name == "corollary":
-                reports.append(check_corollary(t, order))
+            reports.append(runner(t, order, inject_mismatch))
     reports.sort(key=lambda r: r.sort_key())
     return reports

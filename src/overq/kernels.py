@@ -1,43 +1,212 @@
-"""Kernel backend selection.
+"""Coefficient and enumeration kernels: the hot inner loops, in pure Python.
 
-The hot inner loops (Cauchy products, unit inversion, binomial-factor
-sweeps, the box and totals partition walks) live twice: compiled in
-``overq._qkern`` and in pure Python in ``overq._qkern_py``.  Both expose
-the same functions and produce identical exact results; this module picks
-one at import time.  The spread walk ``window_diff_counts`` exists only in
-pure Python and is bound to it whatever the backend.
-
-Set OVERQ_KERNEL=pure or OVERQ_KERNEL=compiled to force a backend
-(``compiled`` raises ImportError when the extension is missing); the
-default ``auto`` prefers the compiled module and falls back silently.
+Callers reach these through the module (``kernels.convolve``, ...) at call
+time, so a wrapper set on the module attribute sees every call.  Coefficient
+kernels work on dense sequences indexed from the window's lowest exponent
+and never mutate their inputs.  A coefficient is an exact rational,
+``int | Fraction`` (never a float or a bool): multiply-add keeps ints as
+ints, and only ``invert_unit`` divides, through Fraction, when the unit's
+constant term is not +-1.  Enumeration kernels walk partition trees once
+per call and accumulate exact integer counts, so results are arbitrary
+precision by construction.
 """
 
-import os
+from fractions import Fraction
 
-from . import _qkern_py
+# The one kernel backend; reported by tools that record where time goes.
+BACKEND = "pure"
 
-_choice = os.environ.get("OVERQ_KERNEL", "auto").lower()
-if _choice not in ("auto", "pure", "compiled"):
-    raise ValueError(
-        f"OVERQ_KERNEL must be auto, pure or compiled, not {_choice!r}"
-    )
 
-if _choice == "pure":
-    _impl = _qkern_py
-else:
-    try:
-        from . import _qkern as _impl  # type: ignore[no-redef]
-    except ImportError:
-        if _choice == "compiled":
-            raise
-        _impl = _qkern_py
+def convolve(a, b, n_out):
+    """Truncated Cauchy product: out[k] = sum_{i+j=k} a[i]*b[j], k < n_out."""
+    la = len(a)
+    lb = len(b)
+    out = []
+    for k in range(n_out):
+        lo = k - lb + 1
+        if lo < 0:
+            lo = 0
+        hi = k + 1
+        if hi > la:
+            hi = la
+        s = 0
+        for i in range(lo, hi):
+            ai = a[i]
+            if ai:
+                s = s + ai * b[k - i]
+        out.append(s)
+    return out
 
-BACKEND = "pure" if _impl is _qkern_py else "compiled"
 
-convolve = _impl.convolve
-invert_unit = _impl.invert_unit
-mul_one_minus = _impl.mul_one_minus
-div_one_minus = _impl.div_one_minus
-box_weighted_counts = _impl.box_weighted_counts
-window_diff_counts = _qkern_py.window_diff_counts
-all_partition_weighted_counts = _impl.all_partition_weighted_counts
+def invert_unit(c, n_out):
+    """Reciprocal of a unit: (c * out)[k] = (k == 0), for k < n_out.
+
+    Requires c[0] != 0.  Division happens only by c[0]: when c[0] is +-1
+    it is a sign change, so int input gives int output; any other c[0]
+    divides through Fraction.  Everything else is multiply-accumulate, so
+    exactness is preserved.
+    """
+    c0 = c[0]
+    unit = c0 == 1 or c0 == -1
+    # For c0 = +-1, 1/c0 == c0 and -s/c0 == -s*c0.
+    out = [c0 if unit else Fraction(1, c0)]
+    neg = -c0
+    lc = len(c)
+    for k in range(1, n_out):
+        hi = k + 1
+        if hi > lc:
+            hi = lc
+        s = 0
+        for i in range(1, hi):
+            ci = c[i]
+            if ci:
+                s = s + ci * out[k - i]
+        if not s:
+            out.append(0 * c0)
+        elif unit:
+            out.append(s * neg)
+        else:
+            out.append(Fraction(-s, c0))
+    return out
+
+
+def mul_one_minus(c, g, k):
+    """Multiply by the exact factor (1 - g*q^k), k >= 1; length preserved."""
+    n = len(c)
+    if g == 1:
+        return [c[i] - c[i - k] if i >= k else c[i] for i in range(n)]
+    if g == -1:
+        return [c[i] + c[i - k] if i >= k else c[i] for i in range(n)]
+    return [c[i] - g * c[i - k] if i >= k else c[i] for i in range(n)]
+
+
+def div_one_minus(c, g, k):
+    """Divide by the exact factor (1 - g*q^k), k >= 1; length preserved.
+
+    Valid whenever the true quotient has no terms below the window start,
+    which holds for every unit divisor of this shape.
+    """
+    n = len(c)
+    out = list(c)
+    if g == 1:
+        for i in range(k, n):
+            prev = out[i - k]
+            if prev:
+                out[i] = out[i] + prev
+    elif g == -1:
+        for i in range(k, n):
+            prev = out[i - k]
+            if prev:
+                out[i] = out[i] - prev
+    else:
+        for i in range(k, n):
+            prev = out[i - k]
+            if prev:
+                out[i] = out[i] + g * prev
+    return out
+
+
+def box_weighted_counts(max_part, max_parts):
+    """Weighted partition counts inside a box, indexed by the sum.
+
+    Entry n is the number of overpartitions of n whose underlying partition
+    has every part <= max_part and at most max_parts parts; each partition
+    contributes 2**(number of distinct part values).  Length is
+    max_part*max_parts + 1 and entry 0 counts the empty partition once.
+    """
+    cap = max_part * max_parts
+    acc = [0] * (cap + 1)
+    acc[0] = 1
+
+    def rec(maxv, slots, total, weight):
+        # Choose the next (largest remaining) distinct part value and its
+        # multiplicity; every call path builds each partition exactly once.
+        for v in range(maxv, 0, -1):
+            tot = total
+            w2 = weight * 2
+            for m in range(1, slots + 1):
+                tot += v
+                acc[tot] += w2
+                if m < slots and v > 1:
+                    rec(v - 1, slots - m, tot, w2)
+
+    if max_part >= 1 and max_parts >= 1:
+        rec(max_part, max_parts, 0, 1)
+    return acc
+
+
+def window_diff_counts(n_max, t):
+    """Partition counts by exact spread and number of distinct part values.
+
+    Returns c with c[s][d][n] the number of partitions of n (1 <= n <= n_max)
+    with spread (largest part minus smallest) exactly s and d distinct part
+    values, for 0 <= s <= t.  Row c[s] holds d = 0..min(s + 1, d_max), where
+    d_max is the largest d with d*(d+1)/2 <= n_max: no partition of n_max or
+    less has more distinct values.  Entry n = 0 and row d = 0 are always 0,
+    since the empty partition has no smallest part.
+
+    Each partition with spread at most t is visited once and adds 1 to one
+    entry, so any statistic of (spread, distinct values) follows by weighted
+    sums over the rows.
+    """
+    d_max = 0
+    while (d_max + 1) * (d_max + 2) // 2 <= n_max:
+        d_max += 1
+    acc = [
+        [[0] * (n_max + 1) for _ in range(min(s + 1, d_max) + 1)]
+        for s in range(t + 1)
+    ]
+
+    for m in range(1, n_max + 1):
+        top = m + t
+
+        def rec(last, total, nd):
+            # Add each value in (last, top] with multiplicity >= 1; a call is
+            # made only when at least one more value fits.
+            nd += 1
+            for v in range(last + 1, min(top, n_max - total) + 1):
+                row = acc[v - m][nd]
+                deeper = v < top
+                lim = n_max - v
+                for tot in range(total + v, n_max + 1, v):
+                    row[tot] += 1
+                    if deeper and tot < lim:
+                        rec(v, tot, nd)
+
+        # The smallest part m appears at least once; larger values are
+        # optional and strictly increasing, so each multiset is hit once.
+        row = acc[0][1]
+        lim = n_max - m
+        for tot in range(m, n_max + 1, m):
+            row[tot] += 1
+            if t and tot < lim:
+                rec(m, tot, 1)
+    return acc
+
+
+def all_partition_weighted_counts(n_max):
+    """Overpartition totals: entry n is sum over partitions of 2**distinct.
+
+    Entry 0 counts the empty partition once.  No constraint on parts.
+    """
+    acc = [0] * (n_max + 1)
+    acc[0] = 1
+
+    def rec(maxv, total, weight):
+        top = n_max - total
+        if top > maxv:
+            top = maxv
+        for v in range(top, 0, -1):
+            tot = total
+            w2 = weight * 2
+            while True:
+                tot += v
+                if tot > n_max:
+                    break
+                acc[tot] += w2
+                if v > 1:
+                    rec(v - 1, tot, w2)
+
+    if n_max >= 1:
+        rec(n_max, 0, 1)
+    return acc

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from overq import identities
 from overq.enumeration import divisor_count, oracle_series, over_qbinom_box_oracle
 from overq.identities import (
     ALL_CHECKS,
@@ -103,8 +104,6 @@ def test_direct_sums_match_closed_forms():
 
 
 def test_direct_sums_raise_on_a_misplaced_summand(monkeypatch):
-    from overq import identities
-
     real = identities.monomial
     monkeypatch.setattr(identities, "monomial",
                         lambda c, m, prec: real(c, m + 1, prec))
@@ -256,6 +255,20 @@ def test_corollary_check():
 def test_run_checks_single_family():
     reports = run_checks("relation", 3, 20)
     assert [r.check.params["t"] for r in reports] == [1, 2, 3]
+    assert all(r.passed for r in reports)
+
+
+def test_run_checks_looks_each_check_up_at_call_time(monkeypatch):
+    seen = []
+    real = identities.check_bk
+
+    def spy(t, order):
+        seen.append(t)
+        return real(t, order)
+
+    monkeypatch.setattr(identities, "check_bk", spy)
+    reports = run_checks("bk", 3, 12)
+    assert seen == [3, 2, 1]
     assert all(r.passed for r in reports)
 
 

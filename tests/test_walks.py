@@ -114,6 +114,13 @@ def test_every_statistic_matches_the_per_statistic_walk(walks):
 
 
 def test_walk_table_matches_flag_enumeration():
+    # Callers and outside wrappers reach every kernel as a module attribute.
+    assert kernels.BACKEND == "pure"
+    assert all(callable(getattr(kernels, name, None)) for name in (
+        "convolve", "invert_unit", "mul_one_minus", "div_one_minus",
+        "box_weighted_counts", "window_diff_counts",
+        "all_partition_weighted_counts",
+    ))
     table = kernels.window_diff_counts(12, 4)
     for n in range(1, 13):
         flags = {}
