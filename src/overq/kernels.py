@@ -145,6 +145,13 @@ def window_diff_counts(n_max, t):
     less has more distinct values.  Entry n = 0 and row d = 0 are always 0,
     since the empty partition has no smallest part.
 
+    The walk runs largest part first, in the reverse-lexicographic order of
+    Knuth, TAOCP 7.2.1.4.  For each largest part L it adds values v from
+    L - 1 down to lo = max(1, L - t), each with multiplicity >= 1.  The
+    value added last is the smallest part, so every multiplicity adds 1 to
+    c[L - v][d].  A branch goes deeper only while one more part of size lo
+    still fits in n_max.
+
     Each partition with spread at most t is visited once and adds 1 to one
     entry, so any statistic of (spread, distinct values) follows by weighted
     sums over the rows.
@@ -157,30 +164,36 @@ def window_diff_counts(n_max, t):
         for s in range(t + 1)
     ]
 
-    for m in range(1, n_max + 1):
-        top = m + t
+    for L in range(1, n_max + 1):
+        lo = L - t if L > t else 1
+        lim = n_max - lo
 
         def rec(last, total, nd):
-            # Add each value in (last, top] with multiplicity >= 1; a call is
-            # made only when at least one more value fits.
+            # Add each value in [lo, last) that fits, largest first; a call
+            # is made only when a part of size lo still fits.
             nd += 1
-            for v in range(last + 1, min(top, n_max - total) + 1):
-                row = acc[v - m][nd]
-                deeper = v < top
-                lim = n_max - v
-                for tot in range(total + v, n_max + 1, v):
-                    row[tot] += 1
-                    if deeper and tot < lim:
-                        rec(v, tot, nd)
+            top = n_max - total
+            if top >= last:
+                top = last - 1
+            for v in range(top, lo - 1, -1):
+                row = acc[L - v][nd]
+                if v > lo:
+                    for tot in range(total + v, n_max + 1, v):
+                        row[tot] += 1
+                        if tot <= lim:
+                            rec(v, tot, nd)
+                else:
+                    for tot in range(total + v, n_max + 1, v):
+                        row[tot] += 1
 
-        # The smallest part m appears at least once; larger values are
-        # optional and strictly increasing, so each multiset is hit once.
+        # The largest part L appears at least once; smaller values are
+        # optional and strictly decreasing, so each multiset is hit once.
         row = acc[0][1]
-        lim = n_max - m
-        for tot in range(m, n_max + 1, m):
+        deeper = L > lo
+        for tot in range(L, n_max + 1, L):
             row[tot] += 1
-            if t and tot < lim:
-                rec(m, tot, 1)
+            if deeper and tot <= lim:
+                rec(L, tot, 1)
     return acc
 
 

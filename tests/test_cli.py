@@ -1,6 +1,8 @@
 """CLI surface: exact table bytes, report schemas, and exit codes."""
 
 import json
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -244,6 +246,17 @@ def test_coeff_exact_spread_below_t(capsys):
         == (0, "0\n", "")
     assert run_cli(capsys, "coeff", "--gf", "abr", "--t", "5", "--n", "7") \
         == (0, "1\n", "")
+
+
+def test_coeff_exact_spread_with_huge_t_builds_no_wide_series():
+    # Spread 10**8 needs n >= 10**8 + 2, so the answer is 0 without a
+    # series as wide as t; the timeout turns a hang into a failure.
+    out = subprocess.run(
+        [sys.executable, "-m", "overq", "coeff", "--gf", "abr",
+         "--t", "100000000", "--n", "3"],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert (out.returncode, out.stdout, out.stderr) == (0, "0\n", "")
 
 
 def test_coeff_usage_errors(capsys):

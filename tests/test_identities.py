@@ -3,6 +3,7 @@ other; the five-step chain behind the half-weighted closed form; the parity
 and mod-4 consequences; and the check runner's report plumbing."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -30,7 +31,7 @@ from overq.identities import (
     proof_chain_theorem1,
     run_checks,
 )
-from overq.series import coeff, equal_to_order, mul_one_minus, one
+from overq.series import coeff, equal_to_order, monomial, mul_one_minus, one
 
 
 def ints(s, lo=1):
@@ -249,6 +250,28 @@ def test_corollary_check():
         check_corollary(1, 0)
 
 
+def test_corollary_reports_int_mismatches(monkeypatch):
+    real = identities.gf_pbar
+    # One more partition at q^3 makes that count odd.
+    monkeypatch.setattr(identities, "gf_pbar",
+                        lambda t, prec: real(t, prec) + monomial(1, 3, prec))
+    report = check_corollary(1, 10)
+    assert report.status == "fail"
+    assert report.message == "count at q^3 is odd"
+    mm = report.first_mismatch
+    assert (mm.exponent, mm.lhs, mm.rhs) == (3, 1, 0)
+    assert type(mm.lhs) is int and type(mm.rhs) is int
+    assert report.to_dict()["first_mismatch"] == {
+        "exponent": 3, "lhs": "1", "rhs": "0"}
+    # A non-integer count is an internal error, not a failed congruence.
+    half = monomial(Fraction(1, 2), 2, 11)
+    monkeypatch.setattr(identities, "gf_pbar",
+                        lambda t, prec: real(t, prec) + half)
+    report = check_corollary(1, 10)
+    assert report.status == "error" and report.first_mismatch is None
+    assert report.message == "internal consistency: non-integer count 9/2 at q^2"
+
+
 # -- runner and report plumbing ----------------------------------------------------
 
 
@@ -324,7 +347,6 @@ def test_report_invariant_fail_requires_mismatch():
     with pytest.raises(ValueError):
         VerificationReport(check, "fail", None, "missing mismatch")
     from overq.series import MismatchInfo
-    from fractions import Fraction
 
     info = MismatchInfo(2, Fraction(1), Fraction(2))
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
-"""The shared spread walk: its derived statistics against the per-statistic
-walk it replaced, its raw table against flag-materializing enumeration, and
-the sizes the held oracle tables walk to."""
+"""The shared spread walk: its table against the smallest-part-first walk it
+replaced, its derived statistics against the per-statistic walk before that,
+its raw table against plain and flag-materializing enumeration, and the
+sizes the held oracle tables walk to."""
 
 import pytest
 
@@ -9,6 +10,7 @@ from overq.cli import main
 from overq.enumeration import (
     count_p_exact_diff,
     iter_overpartitions,
+    iter_partitions,
     oracle_series,
 )
 from overq.identities import run_checks
@@ -79,6 +81,58 @@ def reference_window_diff_counts(n_max, t, mode):
     return acc
 
 
+# -- reference: the former smallest-part-first spread walk, kept verbatim ----------
+
+
+def reference_spread_table(n_max, t):
+    """Partition counts by exact spread and number of distinct part values.
+
+    Returns c with c[s][d][n] the number of partitions of n (1 <= n <= n_max)
+    with spread (largest part minus smallest) exactly s and d distinct part
+    values, for 0 <= s <= t.  Row c[s] holds d = 0..min(s + 1, d_max), where
+    d_max is the largest d with d*(d+1)/2 <= n_max: no partition of n_max or
+    less has more distinct values.  Entry n = 0 and row d = 0 are always 0,
+    since the empty partition has no smallest part.
+
+    Each partition with spread at most t is visited once and adds 1 to one
+    entry, so any statistic of (spread, distinct values) follows by weighted
+    sums over the rows.
+    """
+    d_max = 0
+    while (d_max + 1) * (d_max + 2) // 2 <= n_max:
+        d_max += 1
+    acc = [
+        [[0] * (n_max + 1) for _ in range(min(s + 1, d_max) + 1)]
+        for s in range(t + 1)
+    ]
+
+    for m in range(1, n_max + 1):
+        top = m + t
+
+        def rec(last, total, nd):
+            # Add each value in (last, top] with multiplicity >= 1; a call is
+            # made only when at least one more value fits.
+            nd += 1
+            for v in range(last + 1, min(top, n_max - total) + 1):
+                row = acc[v - m][nd]
+                deeper = v < top
+                lim = n_max - v
+                for tot in range(total + v, n_max + 1, v):
+                    row[tot] += 1
+                    if deeper and tot < lim:
+                        rec(v, tot, nd)
+
+        # The smallest part m appears at least once; larger values are
+        # optional and strictly increasing, so each multiset is hit once.
+        row = acc[0][1]
+        lim = n_max - m
+        for tot in range(m, n_max + 1, m):
+            row[tot] += 1
+            if t and tot < lim:
+                rec(m, tot, 1)
+    return acc
+
+
 @pytest.fixture
 def walks(monkeypatch):
     """Record every oracle walk, starting and ending with empty tables."""
@@ -111,6 +165,41 @@ def test_every_statistic_matches_the_per_statistic_walk(walks):
             s = oracle_series(kind, t, 64)
             assert [coeff(s, n) for n in range(1, 65)] == want, (kind, t)
     assert spread_walks(walks) == [(64, 8)]
+
+
+# -- the largest-part-first walk against the smallest-part-first one ---------------
+
+
+@pytest.mark.parametrize("n_max, t", [(64, 8), (32, 31), (40, 39), (48, 47)])
+def test_walk_table_matches_the_smallest_part_first_walk(n_max, t):
+    assert kernels.window_diff_counts(n_max, t) == reference_spread_table(n_max, t)
+
+
+def test_walk_table_matches_the_smallest_part_first_walk_at_small_sizes():
+    # Covers n_max = 1, t = 0, t >= n_max and every d_max row trimming.
+    for n_max in range(1, 21):
+        for t in range(n_max + 1):
+            got = kernels.window_diff_counts(n_max, t)
+            assert got == reference_spread_table(n_max, t), (n_max, t)
+
+
+def test_walk_table_counts_each_partition_once():
+    # Independent of either walk: tally iter_partitions by (spread, distinct).
+    tally = {}
+    for n in range(1, 25):
+        for parts in iter_partitions(n):
+            key = (parts[0] - parts[-1], len(set(parts)), n)
+            tally[key] = tally.get(key, 0) + 1
+    for n_max in range(1, 25):
+        d_max = max(d for d in range(n_max + 1) if d * (d + 1) // 2 <= n_max)
+        for t in range(n_max + 1):
+            table = kernels.window_diff_counts(n_max, t)
+            want = [
+                [[tally.get((s, d, n), 0) for n in range(n_max + 1)]
+                 for d in range(min(s + 1, d_max) + 1)]
+                for s in range(t + 1)
+            ]
+            assert table == want, (n_max, t)
 
 
 def test_walk_table_matches_flag_enumeration():
