@@ -76,8 +76,12 @@ def _times_ratio(s: QSeries, lo: int, hi: int) -> QSeries:
 
 
 def _ratio_minus_one(t: int, prec: int) -> QSeries:
-    """(-q;q)_t / (q;q)_t - 1: nonempty overpartitions with parts <= t."""
-    return add(_times_ratio(one(prec), 1, t), one(prec).scale(-1))
+    """(-q;q)_t / (q;q)_t - 1: nonempty overpartitions with parts <= t.
+
+    A factor with k >= prec is 1 on the window [0, prec), so k stops at
+    prec - 1 and a huge t costs no more than t = prec - 1.
+    """
+    return add(_times_ratio(one(prec), 1, min(t, prec - 1)), one(prec).scale(-1))
 
 
 def gf_G(t: int, prec: int) -> QSeries:
@@ -99,10 +103,18 @@ def gf_pbar(t: int, prec: int) -> QSeries:
     acc = lambert_divisor(prec)
     minus_one = one(prec).scale(-1)
     ratio = one(prec)  # (-q;q)_n/(q;q)_n, extended by one factor per n
-    for n in range(1, t + 1):
+    cap = min(t, prec - 1)
+    for n in range(1, cap + 1):
         ratio = _times_ratio(ratio, n, n)
         term = div_one_minus(add(ratio, minus_one), 1, n)
         acc = add(acc, term.scale(-1 if n % 2 else 1))
+    if t > cap:
+        # Every factor with n >= prec is 1 on the window, so each term
+        # n = cap+1..t is (-1)^n (R - 1) with R the last ratio.  The
+        # alternating tail cancels in pairs: it leaves (-1)^t (R - 1) when
+        # its length is odd, and nothing (on the same window) when even.
+        sign = (-1 if t % 2 else 1) if (t - cap) % 2 else 0
+        acc = add(acc, add(ratio, minus_one).scale(sign))
     return acc.scale(2 if t % 2 == 0 else -2)
 
 
@@ -152,7 +164,8 @@ def gf_bk(t: int, prec: int) -> QSeries:
     if t < 1:
         raise ValueError(f"gf_bk needs t >= 1, got {t}")
     s = one(prec)
-    for k in range(1, t + 1):
+    # 1/(1 - q^k) with k >= prec is 1 on the window [0, prec).
+    for k in range(1, min(t, prec - 1) + 1):
         s = div_one_minus(s, 1, k)
     s = add(s, one(prec).scale(-1))
     return div_one_minus(s, 1, t)

@@ -3,7 +3,13 @@
 Callers reach these through the module (``kernels.convolve``, ...) at call
 time, so a wrapper set on the module attribute sees every call.  Coefficient
 kernels work on dense sequences indexed from the window's lowest exponent
-and never mutate their inputs.  A coefficient is an exact rational,
+and never mutate their inputs.  Their inner loops run inside the C-level
+builtins ``map``, ``itertools.accumulate`` and ``sum``: ``convolve`` steps
+in Python once per nonzero term, ``invert_unit`` once per output
+coefficient, ``div_one_minus`` once per residue class (g = 1, small k) and
+``mul_one_minus`` not at all; the other ``div_one_minus`` cases keep a
+per-entry loop, which is faster at the widths used.  A coefficient is an
+exact rational,
 ``int | Fraction`` (never a float or a bool): multiply-add keeps ints as
 ints, and only ``invert_unit`` divides, through Fraction, when the unit's
 constant term is not +-1.  Enumeration kernels walk partition trees once
@@ -12,29 +18,32 @@ precision by construction.
 """
 
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import add, mul, sub
 
 # The one kernel backend; reported by tools that record where time goes.
 BACKEND = "pure"
 
 
 def convolve(a, b, n_out):
-    """Truncated Cauchy product: out[k] = sum_{i+j=k} a[i]*b[j], k < n_out."""
-    la = len(a)
+    """Truncated Cauchy product: out[k] = sum_{i+j=k} a[i]*b[j], k < n_out.
+
+    Scatter form, driven by the operand with fewer nonzeros: each of its
+    nonzero entries a[i] adds a[i]*b[:m] into out[i:i+m] in one map, so
+    the Python loop runs once per nonzero and skips the zeros of sparse
+    factors such as q^r/(1-q^r).  The sum is exact; with int operands the
+    result is all ints, and with Fraction operands an entry that gets no
+    Fraction product stays an int.
+    """
+    if sum(map(bool, a[:n_out])) > sum(map(bool, b[:n_out])):
+        a, b = b, a
+    out = [0] * n_out
     lb = len(b)
-    out = []
-    for k in range(n_out):
-        lo = k - lb + 1
-        if lo < 0:
-            lo = 0
-        hi = k + 1
-        if hi > la:
-            hi = la
-        s = 0
-        for i in range(lo, hi):
-            ai = a[i]
-            if ai:
-                s = s + ai * b[k - i]
-        out.append(s)
+    for i in range(min(len(a), n_out)):
+        ai = a[i]
+        if ai:
+            j = i + min(lb, n_out - i)
+            out[i:j] = map(add, out[i:j], map(mul, repeat(ai), b))
     return out
 
 
@@ -43,24 +52,22 @@ def invert_unit(c, n_out):
 
     Requires c[0] != 0.  Division happens only by c[0]: when c[0] is +-1
     it is a sign change, so int input gives int output; any other c[0]
-    divides through Fraction.  Everything else is multiply-accumulate, so
-    exactness is preserved.
+    divides through Fraction.  Everything else is multiply-accumulate, over
+    the nonzero c[i] only, so exactness is preserved.
     """
     c0 = c[0]
     unit = c0 == 1 or c0 == -1
     # For c0 = +-1, 1/c0 == c0 and -s/c0 == -s*c0.
     out = [c0 if unit else Fraction(1, c0)]
     neg = -c0
-    lc = len(c)
+    nz = [i for i in range(1, min(len(c), n_out)) if c[i]]
+    vals = [c[i] for i in nz]
+    used = 0  # nz[:used] are the indices i <= k
     for k in range(1, n_out):
-        hi = k + 1
-        if hi > lc:
-            hi = lc
-        s = 0
-        for i in range(1, hi):
-            ci = c[i]
-            if ci:
-                s = s + ci * out[k - i]
+        if used < len(nz) and nz[used] == k:
+            used += 1
+        back = map(out.__getitem__, map(k.__sub__, nz[:used]))  # out[k - i]
+        s = sum(map(mul, vals[:used], back))
         if not s:
             out.append(0 * c0)
         elif unit:
@@ -72,23 +79,33 @@ def invert_unit(c, n_out):
 
 def mul_one_minus(c, g, k):
     """Multiply by the exact factor (1 - g*q^k), k >= 1; length preserved."""
-    n = len(c)
+    out = list(c[:k])
     if g == 1:
-        return [c[i] - c[i - k] if i >= k else c[i] for i in range(n)]
-    if g == -1:
-        return [c[i] + c[i - k] if i >= k else c[i] for i in range(n)]
-    return [c[i] - g * c[i - k] if i >= k else c[i] for i in range(n)]
+        out += map(sub, c[k:], c)
+    elif g == -1:
+        out += map(add, c[k:], c)
+    else:
+        out += map(sub, c[k:], map(mul, repeat(g), c))
+    return out
 
 
 def div_one_minus(c, g, k):
     """Divide by the exact factor (1 - g*q^k), k >= 1; length preserved.
 
     Valid whenever the true quotient has no terms below the window start,
-    which holds for every unit divisor of this shape.
+    which holds for every unit divisor of this shape.  out[i] = c[i] +
+    g*out[i-k] is a running sum along each residue class mod k.  For
+    g = 1 and k*k < n each class takes one accumulate.  Otherwise the loop
+    runs once per entry and skips zero terms: at window widths up to a few
+    hundred it beats a map over blocks of k entries, whose per-block slices
+    cost more than the n/k steps save.
     """
     n = len(c)
     out = list(c)
-    if g == 1:
+    if g == 1 and k * k < n:
+        for r in range(k):
+            out[r::k] = accumulate(out[r::k])
+    elif g == 1:
         for i in range(k, n):
             prev = out[i - k]
             if prev:

@@ -14,6 +14,7 @@ monomials here, so every term is an exact Laurent polynomial times z^n.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -158,8 +159,7 @@ def over_qbinom_sum(m: int, n: int, prec: Optional[int] = None) -> QSeries:
         term = kernels.mul_one_minus(term, 1, n - k)
         term = kernels.div_one_minus(term, 1, m + n - k)
         term = kernels.div_one_minus(term, 1, k + 1)
-        for i in range(k + 1, width):
-            acc[i] += term[i]
+        acc[k + 1 :] = map(operator.add, acc[k + 1 :], term[k + 1 :])
     return _wrap_poly(acc, width, prec)
 
 

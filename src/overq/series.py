@@ -12,20 +12,26 @@ operation, and a :class:`fractions.Fraction` appears only after a true
 division: a unit inverse whose constant term is not +-1, a reciprocal 1/g
 with g != +-1, or a Fraction supplied by the caller (such as a 1/2
 scalar).  Floats and bools are rejected outright.
+
+Coefficient types are checked once, where outside values enter:
+``QSeries(...)``, :func:`from_terms` and :func:`monomial`, the scalars of
+:meth:`QSeries.scale` and :meth:`QSeries.times_monomial`,
+:class:`QMonomial`, and the ``g`` of :func:`mul_one_minus` and
+:func:`div_one_minus`.  Ring operations on checked values can only give
+ints and Fractions, so their results are stored unchecked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import add as _add, mul as _mul
 from typing import Iterable, NamedTuple, Optional, Tuple, Union
 
 from . import kernels
 
 Rational = Union[int, Fraction]
-
-_ZERO = 0
-_ONE = 1
 
 
 class QSeriesError(Exception):
@@ -129,14 +135,7 @@ class QSeries:
         self = object.__new__(cls)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "prec", prec)
-        object.__setattr__(
-            self,
-            "coeffs",
-            tuple(
-                c if type(c) is int or type(c) is Fraction else _coerce(c)
-                for c in coeffs
-            ),
-        )
+        object.__setattr__(self, "coeffs", tuple(coeffs))
         return self
 
     # -- queries -----------------------------------------------------------
@@ -153,7 +152,7 @@ class QSeries:
                 f"{self.prec} are known"
             )
         if e < self.lo:
-            return _ZERO
+            return 0
         return self.coeffs[e - self.lo]
 
     def valuation(self) -> Optional[int]:
@@ -178,20 +177,20 @@ class QSeries:
         if prec <= self.prec:
             return self.truncate(prec)
         return QSeries._make(
-            self.lo, prec, self.coeffs + (_ZERO,) * (prec - self.prec)
+            self.lo, prec, self.coeffs + (0,) * (prec - self.prec)
         )
 
     # -- arithmetic ----------------------------------------------------------
 
     def scale(self, r: Rational) -> "QSeries":
         r = _coerce(r)
-        return QSeries._make(self.lo, self.prec, [r * c for c in self.coeffs])
+        return QSeries._make(self.lo, self.prec, map(_mul, repeat(r), self.coeffs))
 
     def times_monomial(self, coeff: Rational, exp: int) -> "QSeries":
         """Multiply by the exact term coeff * q^exp; the window shifts."""
         c = _coerce(coeff)
         return QSeries._make(
-            self.lo + exp, self.prec + exp, [c * x for x in self.coeffs]
+            self.lo + exp, self.prec + exp, map(_mul, repeat(c), self.coeffs)
         )
 
     def __add__(self, other):
@@ -285,7 +284,7 @@ def from_terms(terms: Iterable[Tuple[int, Rational]], prec: int) -> QSeries:
                 f"term at q^{e} lies at or above the requested prec {prec}"
             )
     lo = min((e for e, _ in pairs), default=min(0, prec))
-    coeffs = [_ZERO] * (prec - lo)
+    coeffs = [0] * (prec - lo)
     for e, c in pairs:
         coeffs[e - lo] += c
     return QSeries._make(lo, prec, coeffs)
@@ -307,9 +306,9 @@ def geometric(k: int, prec: int) -> QSeries:
     """1 / (1 - q^k) = sum_{j>=0} q^{jk}, for k >= 1."""
     if k < 1:
         raise ValueError("geometric stride must be >= 1")
-    coeffs = [_ZERO] * max(prec, 0)
+    coeffs = [0] * max(prec, 0)
     for j in range(0, max(prec, 0), k):
-        coeffs[j] = _ONE
+        coeffs[j] = 1
     return QSeries._make(0, max(prec, 0), coeffs)
 
 
@@ -317,19 +316,20 @@ def geometric(k: int, prec: int) -> QSeries:
 
 
 def add(a: QSeries, b: QSeries) -> QSeries:
-    """Sum on the common window [min(lo), min(prec))."""
-    lo = min(a.lo, b.lo)
+    """Sum on the common window [min(lo), min(prec)).
+
+    Below the later window start only the earlier series has terms, and
+    x + 0 is x with its type, so that stretch is copied as it is.
+    """
+    if a.lo > b.lo:
+        a, b = b, a
     prec = min(a.prec, b.prec)
-    ac, bc = a.coeffs, b.coeffs
-    alo, blo = a.lo, b.lo
-    out = []
-    for e in range(lo, prec):
-        ia = e - alo
-        ib = e - blo
-        va = ac[ia] if ia >= 0 else _ZERO
-        vb = bc[ib] if ib >= 0 else _ZERO
-        out.append(va + vb)
-    return QSeries._make(lo, prec, out)
+    ac = a.coeffs
+    n = max(prec - a.lo, 0)
+    split = min(b.lo - a.lo, n)
+    return QSeries._make(
+        a.lo, prec, ac[:split] + tuple(map(_add, ac[split:n], b.coeffs))
+    )
 
 
 def mul(a: QSeries, b: QSeries) -> QSeries:

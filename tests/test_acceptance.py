@@ -3,10 +3,12 @@ pass/fail line each.  Run with -s (or look at captured stdout) to read the
 lines; every comparison is exact."""
 
 import json
+import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 from time import perf_counter
 
 from overq.enumeration import (
@@ -53,6 +55,14 @@ from overq.series import (
     mul_one_minus,
     one,
 )
+
+
+# Child processes import overq from this checkout's src/, as the tests do.
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))),
+}
 
 
 def _report(num, label, failures, elapsed=None, limit=None):
@@ -258,7 +268,7 @@ def test_criterion_10_cli_verification_surface():
     failures = []
     base = [sys.executable, "-m", "overq", "verify", "--check", "all",
             "--format", "json"]
-    out = subprocess.run(base, capture_output=True, text=True)
+    out = subprocess.run(base, capture_output=True, text=True, env=CHILD_ENV)
     if out.returncode != 0:
         failures.append(("exit", out.returncode, out.stderr[-200:]))
     else:
@@ -273,7 +283,7 @@ def test_criterion_10_cli_verification_surface():
             if entry["status"] != "pass" or entry["first_mismatch"] is not None:
                 failures.append(("status", entry["name"], entry["params"]))
     corrupted = subprocess.run(
-        base + ["--inject-mismatch"], capture_output=True, text=True
+        base + ["--inject-mismatch"], capture_output=True, text=True, env=CHILD_ENV
     )
     if corrupted.returncode != 1:
         failures.append(("corrupted exit", corrupted.returncode))

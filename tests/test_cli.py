@@ -1,13 +1,22 @@
 """CLI surface: exact table bytes, report schemas, and exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from overq.cli import format_coeff, main
+
+# Child processes import overq from this checkout's src/, as the tests do.
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))),
+}
 
 
 def run_cli(capsys, *argv):
@@ -254,9 +263,22 @@ def test_coeff_exact_spread_with_huge_t_builds_no_wide_series():
     out = subprocess.run(
         [sys.executable, "-m", "overq", "coeff", "--gf", "abr",
          "--t", "100000000", "--n", "3"],
-        capture_output=True, text=True, timeout=10,
+        capture_output=True, text=True, timeout=10, env=CHILD_ENV,
     )
     assert (out.returncode, out.stdout, out.stderr) == (0, "0\n", "")
+
+
+@pytest.mark.parametrize("gf, value", [("bk", "3"), ("th1", "8"), ("th2", "8")])
+def test_coeff_bounded_spread_with_huge_t_stops_at_n(gf, value):
+    # Every partition of 3 has spread below 10**8: p(3) = 3 partitions and
+    # 8 overpartitions.  Factors past q^3 are 1 on the window, so the
+    # builders stop there; the timeout turns a hang into a failure.
+    out = subprocess.run(
+        [sys.executable, "-m", "overq", "coeff", "--gf", gf,
+         "--t", "100000000", "--n", "3"],
+        capture_output=True, text=True, timeout=10, env=CHILD_ENV,
+    )
+    assert (out.returncode, out.stdout, out.stderr) == (0, value + "\n", "")
 
 
 def test_coeff_usage_errors(capsys):

@@ -31,7 +31,15 @@ from overq.identities import (
     proof_chain_theorem1,
     run_checks,
 )
-from overq.series import coeff, equal_to_order, monomial, mul_one_minus, one
+from overq.series import (
+    add,
+    coeff,
+    div_one_minus,
+    equal_to_order,
+    monomial,
+    mul_one_minus,
+    one,
+)
 
 
 def ints(s, lo=1):
@@ -91,6 +99,57 @@ def test_gf_pbar_values():
     s = gf_pbar(1, 31)
     for n in range(1, 31):
         assert coeff(s, n) == 4 * n - 2 * divisor_count(n), n
+
+
+# -- references: the uncapped closed-form builders, kept verbatim -------------------
+
+
+def _times_ratio(s, lo, hi):
+    """s * prod_{k=lo}^{hi} (1 + q^k)/(1 - q^k); s itself when hi < lo."""
+    for k in range(lo, hi + 1):
+        s = div_one_minus(mul_one_minus(s, -1, k), 1, k)
+    return s
+
+
+def reference_gf_G(t, prec):
+    return div_one_minus(
+        add(_times_ratio(one(prec), 1, t), one(prec).scale(-1)), 1, t
+    )
+
+
+def reference_gf_pbar(t, prec):
+    acc = lambert_divisor(prec)
+    minus_one = one(prec).scale(-1)
+    ratio = one(prec)  # (-q;q)_n/(q;q)_n, extended by one factor per n
+    for n in range(1, t + 1):
+        ratio = _times_ratio(ratio, n, n)
+        term = div_one_minus(add(ratio, minus_one), 1, n)
+        acc = add(acc, term.scale(-1 if n % 2 else 1))
+    return acc.scale(2 if t % 2 == 0 else -2)
+
+
+def reference_gf_bk(t, prec):
+    s = one(prec)
+    for k in range(1, t + 1):
+        s = div_one_minus(s, 1, k)
+    s = add(s, one(prec).scale(-1))
+    return div_one_minus(s, 1, t)
+
+
+@pytest.mark.parametrize(
+    "build, reference, t_min",
+    [(gf_bk, reference_gf_bk, 1), (gf_G, reference_gf_G, 1),
+     (gf_pbar, reference_gf_pbar, 0)],
+)
+def test_capped_builders_equal_the_uncapped_ones(build, reference, t_min):
+    # The loops stop at prec - 1; gf_pbar adds its alternating tail in one
+    # step.  Window, values and int types must all be as before.
+    for prec in range(1, 15):
+        for t in range(t_min, 31):
+            new, ref = build(t, prec), reference(t, prec)
+            assert (new.lo, new.prec) == (ref.lo, ref.prec), (t, prec)
+            assert new.coeffs == ref.coeffs, (t, prec)
+            assert all(type(c) is int for c in new.coeffs), (t, prec)
 
 
 def test_direct_sums_match_closed_forms():

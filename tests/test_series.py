@@ -75,16 +75,22 @@ def test_from_terms_rejects_exponent_at_or_above_prec():
 
 
 def test_floats_are_rejected_everywhere():
-    # bools are ints to Python but not exact rationals to the series layer
+    # bools are ints to Python but not exact rationals to the series layer.
+    # These entry points carry the only type check: ring operations store
+    # their results unchecked.
     for bad in (0.5, True, False):
         with pytest.raises(TypeError):
             from_terms([(0, bad)], 3)
+        with pytest.raises(TypeError):
+            monomial(bad, 1, 3)
         with pytest.raises(TypeError):
             QMonomial(bad, 1)
         with pytest.raises(TypeError):
             one(4).scale(bad)
         with pytest.raises(TypeError):
             one(4) * bad
+        with pytest.raises(TypeError):
+            bad * one(4)
         with pytest.raises(TypeError):
             one(4).times_monomial(bad, 1)
         with pytest.raises(TypeError):
