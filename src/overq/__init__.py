@@ -1,6 +1,6 @@
 """Exact q-series toolkit for overpartition counting with bounded part spread.
 
-The package has six layers:
+The package has seven modules:
 
 * :mod:`overq.kernels` -- the hot inner loops: coefficient products, unit
   inversion, one-minus factors and the partition walks.
@@ -8,6 +8,8 @@ The package has six layers:
 * :mod:`overq.qfunctions` -- Pochhammer symbols, Gaussian and overpartition
   q-binomials, and a basic hypergeometric series evaluator.
 * :mod:`overq.enumeration` -- brute-force partition enumeration oracles.
+* :mod:`overq.reports` -- the verification report types and the one helper
+  that turns ordered series comparisons into a pass or fail report.
 * :mod:`overq.identities` -- generating functions and identity checks that
   pit closed forms against direct sums and the oracles.
 * :mod:`overq.cli` -- the ``overq`` command (table / verify / coeff).

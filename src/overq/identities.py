@@ -14,13 +14,21 @@ Series produced here, with the weight conventions of :mod:`.enumeration`:
   when the spread is exactly t.
 * gf_pbar(t): overpartitions with spread <= t.
 * gf_overline_total: all overpartitions.
+
+Two helpers carry the paper's part sums.  ``_smallest_part_terms`` yields
+the summands over the smallest part m, each from the one before it: they
+serve the direct sums of Theorems 1 and 2, case (2) of the three-case
+split and step (i) of the proof chain.  ``_largest_part_sum`` sums
+q^r/(1-q^r) times a box polynomial over the largest part r: it serves the
+over-q-binomial expansion and case (3).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import isqrt
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .enumeration import divisor_count, oracle_series
 from .qfunctions import PhiSpec, over_qbinom_sum, phi, pochhammer_inf, verify_chu
@@ -38,7 +46,6 @@ from .series import (
     QSeries,
     add,
     div_one_minus,
-    equal_to_order,
     invert,
     monomial,
     mul,
@@ -118,11 +125,30 @@ def gf_pbar(t: int, prec: int) -> QSeries:
     return acc.scale(2 if t % 2 == 0 else -2)
 
 
-def _require_valuation(summand: QSeries, m: int) -> None:
-    if summand.valuation() != m:
-        raise RuntimeError(
-            f"summand m={m} has valuation {summand.valuation()}, expected {m}"
-        )
+def _smallest_part_terms(t: int, hi: int, prec: int) -> Iterator[QSeries]:
+    """Yield S_m on the window [m, prec), for m = 1..prec-1, where
+
+        S_m = 2 q^m / prod_{j=m}^{m+t} (1-q^j) * prod_{j=m+1}^{m+hi} (1+q^j)
+
+    with hi = t for gf_pbar and hi = t - 1 for gf_G.  Each S_m is S_{m-1}
+    times q (1-q^{m-1}) (1+q^{m+hi}) / ((1-q^{m+t}) (1+q^m)).  S_m has
+    valuation exactly m (checked; a RuntimeError names m if not).
+    """
+    if prec <= 1:
+        return
+    s = _times_ratio(div_one_minus(monomial(2, 1, prec), 1, 1), 2, 1 + hi)
+    for j in range(2 + hi, 2 + t):
+        s = div_one_minus(s, 1, j)
+    for m in range(1, prec):
+        if m > 1:
+            s = s.times_monomial(1, 1).truncate(prec)
+            s = div_one_minus(mul_one_minus(s, 1, m - 1), 1, m + t)
+            s = div_one_minus(mul_one_minus(s, -1, m + hi), -1, m)
+        if s.valuation() != m:
+            raise RuntimeError(
+                f"summand m={m} has valuation {s.valuation()}, expected {m}"
+            )
+        yield s
 
 
 def gf_pbar_direct(t: int, prec: int) -> QSeries:
@@ -135,12 +161,7 @@ def gf_pbar_direct(t: int, prec: int) -> QSeries:
     """
     if t < 0:
         raise ValueError(f"gf_pbar_direct needs t >= 0, got {t}")
-    acc = zero(prec)
-    for m in range(1, prec):
-        s = _times_ratio(div_one_minus(monomial(2, m, prec), 1, m), m + 1, m + t)
-        _require_valuation(s, m)
-        acc = add(acc, s)
-    return acc
+    return reduce(add, _smallest_part_terms(t, t, prec), zero(prec))
 
 
 def gf_g_direct(t: int, prec: int) -> QSeries:
@@ -149,13 +170,28 @@ def gf_g_direct(t: int, prec: int) -> QSeries:
     (1+q^{m+t}) overline choice."""
     if t < 1:
         raise ValueError(f"gf_g_direct needs t >= 1, got {t}")
+    return reduce(add, _smallest_part_terms(t, t - 1, prec), zero(prec))
+
+
+def _case_two_direct(t: int, prec: int) -> QSeries:
+    """Case (2) of the three-case split as a direct sum: q^{m+t} G_m, with
+    G_m the gf_g_direct summands, over the m with 2m + t < prec."""
     acc = zero(prec)
-    for m in range(1, prec):
-        s = _times_ratio(div_one_minus(monomial(2, m, prec), 1, m), m + 1, m + t - 1)
-        s = div_one_minus(s, 1, m + t)
-        _require_valuation(s, m)
-        acc = add(acc, s)
+    for m, g_m in enumerate(_smallest_part_terms(t, t - 1, prec), 1):
+        if 2 * m + t >= prec:
+            break
+        acc = add(acc, g_m.times_monomial(1, m + t))
     return acc
+
+
+def _largest_part_sum(poly: Callable[[int], QSeries], prec: int) -> QSeries:
+    """sum_{r=1}^{prec-1} q^r/(1-q^r) * poly(r), with poly(r) known to
+    O(q^{prec-r})."""
+    return reduce(
+        add,
+        (div_one_minus(poly(r).times_monomial(1, r), 1, r) for r in range(1, prec)),
+        zero(prec),
+    )
 
 
 def gf_bk(t: int, prec: int) -> QSeries:
@@ -194,13 +230,11 @@ def gf_abr(t: int, prec: int) -> QSeries:
     work = max(prec, t + 1)
     p1 = mul_one_minus(monomial(1, t - 1, work), 1, 1)
     p1 = div_one_minus(div_one_minus(p1, 1, t), 1, t - 1)
-    p2 = p1.scale(-1)
+    # The last two terms share 1/(q;q)_t: p1 + (q^t/(1-q^{t-1}) - p1)/(q;q)_t.
+    rest = add(div_one_minus(monomial(1, t, work), 1, t - 1), p1.scale(-1))
     for k in range(1, t + 1):
-        p2 = div_one_minus(p2, 1, k)
-    p3 = div_one_minus(monomial(1, t, work), 1, t - 1)
-    for k in range(1, t + 1):
-        p3 = div_one_minus(p3, 1, k)
-    return add(add(p1, p2), p3).truncate(prec)
+        rest = div_one_minus(rest, 1, k)
+    return add(p1, rest).truncate(prec)
 
 
 def gf_p_exact_low(t: int, prec: int) -> QSeries:
@@ -231,26 +265,17 @@ def _triple_report(
     closed: QSeries,
     direct: Optional[QSeries],
     oracle: QSeries,
-    direct_label: str = "direct sum",
 ) -> VerificationReport:
     """Compare a closed form against an optional direct sum and an oracle."""
-    check = IdentityCheck(name, {"t": t}, order)
+    pairs = [(closed, oracle, "closed form deviates from the enumeration oracle")]
+    what = "enumeration"
     if direct is not None:
-        equal, mismatch = equal_to_order(closed, direct, order)
-        if not equal:
-            return VerificationReport(
-                check, STATUS_FAIL, mismatch,
-                f"closed form deviates from the {direct_label}",
-            )
-    equal, mismatch = equal_to_order(closed, oracle, order)
-    if not equal:
-        return VerificationReport(
-            check, STATUS_FAIL, mismatch,
-            "closed form deviates from the enumeration oracle",
-        )
-    what = f"{direct_label} and enumeration" if direct is not None else "enumeration"
-    return VerificationReport(
-        check, STATUS_PASS, None, f"closed form matches {what} to order {order}"
+        pairs.insert(0, (closed, direct, "closed form deviates from the direct sum"))
+        what = "direct sum and enumeration"
+    return comparison_report(
+        IdentityCheck(name, {"t": t}, order),
+        f"closed form matches {what} to order {order}",
+        *pairs,
     )
 
 
@@ -305,14 +330,11 @@ def check_pbar_g_relation(t: int, order: int) -> VerificationReport:
     if t < 1:
         raise ValueError(f"relation needs t >= 1, got {t}")
     prec = order + 1
-    lhs = add(gf_pbar(t, prec), gf_pbar(t - 1, prec))
-    rhs = gf_G(t, prec).scale(2)
-    check = IdentityCheck("relation", {"t": t}, order)
-    equal, mismatch = equal_to_order(lhs, rhs, order)
     return comparison_report(
-        check, equal, mismatch,
+        IdentityCheck("relation", {"t": t}, order),
         f"adjacent spread bounds recombine to order {order}",
-        "adjacent spread bounds fail to recombine",
+        (add(gf_pbar(t, prec), gf_pbar(t - 1, prec)), gf_G(t, prec).scale(2),
+         "adjacent spread bounds fail to recombine"),
     )
 
 
@@ -323,18 +345,12 @@ def check_oqbinom_pbar(t: int, order: int) -> VerificationReport:
     if t < 0:
         raise ValueError(f"oqbinom check needs t >= 0, got {t}")
     prec = order + 1
-    acc = zero(prec)
-    for r in range(1, prec):
-        geo = div_one_minus(monomial(1, r, prec), 1, r)
-        poly = over_qbinom_sum(t, r - 1, prec=prec - r)
-        acc = add(acc, mul(geo, poly))
-    lhs = acc.scale(2)
-    check = IdentityCheck("oqbinom", {"t": t}, order)
-    equal, mismatch = equal_to_order(lhs, gf_pbar(t, prec), order)
+    lhs = _largest_part_sum(lambda r: over_qbinom_sum(t, r - 1, prec=prec - r), prec)
     return comparison_report(
-        check, equal, mismatch,
+        IdentityCheck("oqbinom", {"t": t}, order),
         f"largest-part expansion over box polynomials matches to order {order}",
-        "largest-part expansion deviates from the closed form",
+        (lhs.scale(2), gf_pbar(t, prec),
+         "largest-part expansion deviates from the closed form"),
     )
 
 
@@ -346,44 +362,28 @@ def check_three_cases(t: int, order: int) -> VerificationReport:
     (3) the rest, via box polynomials: sum_r q^r/(1-q^r)
                                         (oqbinom(t, r) - oqbinom(t-1, r))
 
-    Passes when the cases sum to gf_pbar(t) and case (2)'s closed form
-    matches its own direct sum.
+    Passes when case (2)'s closed form matches its own direct sum and the
+    cases sum to gf_pbar(t).
     """
     _require_order(order)
     if t < 1:
         raise ValueError(f"three-case split needs t >= 1, got {t}")
     prec = order + 1
+    full = gf_pbar(t, prec)
     case1 = _ratio_minus_one(t, prec)
-
-    case2 = add(gf_pbar(t, prec), gf_pbar(t - 1, prec).scale(-1)).scale(_HALF)
-    case2_direct = zero(prec)
-    m = 1
-    while 2 * m + t < prec:
-        s = _times_ratio(div_one_minus(monomial(2, m, prec), 1, m), m + 1, m + t - 1)
-        s = div_one_minus(s.times_monomial(1, m + t), 1, m + t)
-        case2_direct = add(case2_direct, s)
-        m += 1
-
-    case3 = zero(prec)
-    for r in range(1, prec):
-        big = over_qbinom_sum(t, r, prec=prec - r)
-        small = over_qbinom_sum(t - 1, r, prec=prec - r)
-        geo = div_one_minus(monomial(1, r, prec), 1, r)
-        case3 = add(case3, mul(geo, add(big, small.scale(-1))))
-
-    check = IdentityCheck("cases", {"t": t}, order)
-    equal, mismatch = equal_to_order(case2, case2_direct, order)
-    if not equal:
-        return VerificationReport(
-            check, STATUS_FAIL, mismatch,
-            "case (2) closed form deviates from its direct sum",
-        )
-    total = add(add(case1, case2), case3)
-    equal, mismatch = equal_to_order(total, gf_pbar(t, prec), order)
+    case2 = add(full, gf_pbar(t - 1, prec).scale(-1)).scale(_HALF)
+    case3 = _largest_part_sum(
+        lambda r: add(over_qbinom_sum(t, r, prec=prec - r),
+                      over_qbinom_sum(t - 1, r, prec=prec - r).scale(-1)),
+        prec,
+    )
     return comparison_report(
-        check, equal, mismatch,
+        IdentityCheck("cases", {"t": t}, order),
         f"three cases sum to the full series to order {order}",
-        "three cases fail to sum to the full series",
+        (case2, _case_two_direct(t, prec),
+         "case (2) closed form deviates from its direct sum"),
+        (add(add(case1, case2), case3), full,
+         "three cases fail to sum to the full series"),
     )
 
 
@@ -409,24 +409,12 @@ def proof_chain_theorem1(
     if t < 1:
         raise ValueError(f"proof chain needs t >= 1, got {t}")
     prec = order + 1
-    steps: List[QSeries] = []
+    # (i): B_m = G_m/2, the gf_g_direct summands halved.
+    steps = [gf_g_direct(t, prec).scale(_HALF)]
 
-    # The prefactor q(-q;q)_t/((1+q)(q;q)_{t+1}) of (ii) and (iii) is also
-    # the m = 1 summand of (i).
+    # The prefactor q(-q;q)_t/((1+q)(q;q)_{t+1}) of (ii) and (iii).
     pref = _times_ratio(monomial(1, 1, prec), 1, t)
     pref = div_one_minus(div_one_minus(pref, 1, t + 1), -1, 1)
-
-    # (i): incremental summand updates; B_{m+1}/B_m =
-    # q (1-q^m)(1+q^{m+t}) / ((1+q^{m+1})(1-q^{m+t+1})).
-    b = acc = pref
-    for m in range(2, prec):
-        b = b.times_monomial(1, 1)
-        b = mul_one_minus(b, 1, m - 1)
-        b = mul_one_minus(b, -1, m - 1 + t)
-        b = div_one_minus(b, -1, m)
-        b = div_one_minus(b, 1, m + t)
-        acc = add(acc, b)
-    steps.append(acc)
 
     # (ii)
     q = QMonomial(1, 1)
@@ -477,17 +465,12 @@ def proof_chain_theorem1(
             raise ValueError("perturb_step must be in 1..5")
         steps[perturb_step - 1] = mul_one_minus(steps[perturb_step - 1], -1, 1)
 
-    check = IdentityCheck("proofchain", {"t": t}, order)
-    for i in range(4):
-        equal, mismatch = equal_to_order(steps[i], steps[i + 1], order)
-        if not equal:
-            return VerificationReport(
-                check, STATUS_FAIL, mismatch,
-                f"step {_CHAIN_LABELS[i]} deviates from step {_CHAIN_LABELS[i + 1]}",
-            )
-    return VerificationReport(
-        check, STATUS_PASS, None,
+    return comparison_report(
+        IdentityCheck("proofchain", {"t": t}, order),
         f"all five expressions agree pairwise to order {order}",
+        *[(steps[i], steps[i + 1],
+           f"step {_CHAIN_LABELS[i]} deviates from step {_CHAIN_LABELS[i + 1]}")
+          for i in range(4)],
     )
 
 
@@ -550,8 +533,6 @@ CHECKS: Dict[str, Tuple[int, _Runner]] = {
         QMonomial(-1, 0), t, QMonomial(-1, 1), order + 1)),
     "corollary": (0, lambda t, order, bad: check_corollary(t, order)),
 }
-
-CHECK_MINIMUM = {name: lo for name, (lo, _) in CHECKS.items()}
 
 ALL_CHECKS = tuple(sorted(CHECKS))
 

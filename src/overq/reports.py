@@ -1,12 +1,13 @@
-"""Verification report types shared by the identity and q-function layers."""
+"""Verification report types, and the helper that turns ordered series
+comparisons into one report, shared by the identity and q-function layers."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Tuple, Union
 
-from .series import MismatchInfo
+from .series import MismatchInfo, QSeries, equal_to_order
 
 Param = Union[int, str]
 
@@ -65,10 +66,13 @@ class VerificationReport:
 
 
 def comparison_report(
-    check: IdentityCheck, equal: bool, mismatch: Optional[MismatchInfo],
-    pass_message: str, fail_message: str,
+    check: IdentityCheck, pass_message: str,
+    *comparisons: Tuple[QSeries, QSeries, str],
 ) -> VerificationReport:
-    """Wrap an equal_to_order result as a report."""
-    if equal:
-        return VerificationReport(check, STATUS_PASS, None, pass_message)
-    return VerificationReport(check, STATUS_FAIL, mismatch, fail_message)
+    """Compare each (lhs, rhs, fail message) to check.order, in order; the
+    first pair that differs gives the fail report, else the pass report."""
+    for lhs, rhs, fail_message in comparisons:
+        equal, mismatch = equal_to_order(lhs, rhs, check.order)
+        if not equal:
+            return VerificationReport(check, STATUS_FAIL, mismatch, fail_message)
+    return VerificationReport(check, STATUS_PASS, None, pass_message)

@@ -1,13 +1,14 @@
 """Closed-form generating functions against direct sums, oracles, and each
 other; the five-step chain behind the half-weighted closed form; the parity
-and mod-4 consequences; and the check runner's report plumbing."""
+and mod-4 consequences; the pass and fail report of every check family; and
+the check runner's report plumbing."""
 
 import json
 from fractions import Fraction
 
 import pytest
 
-from overq import identities
+from overq import identities, qfunctions
 from overq.enumeration import divisor_count, oracle_series, over_qbinom_box_oracle
 from overq.identities import (
     ALL_CHECKS,
@@ -32,6 +33,8 @@ from overq.identities import (
     run_checks,
 )
 from overq.series import (
+    QMonomial,
+    QSeries,
     add,
     coeff,
     div_one_minus,
@@ -39,6 +42,7 @@ from overq.series import (
     monomial,
     mul_one_minus,
     one,
+    zero,
 )
 
 
@@ -136,6 +140,12 @@ def reference_gf_bk(t, prec):
     return div_one_minus(s, 1, t)
 
 
+def _assert_same_int_series(new, ref, where):
+    assert (new.lo, new.prec) == (ref.lo, ref.prec), where
+    assert new.coeffs == ref.coeffs, where
+    assert all(type(c) is int for c in new.coeffs), where
+
+
 @pytest.mark.parametrize(
     "build, reference, t_min",
     [(gf_bk, reference_gf_bk, 1), (gf_G, reference_gf_G, 1),
@@ -146,10 +156,86 @@ def test_capped_builders_equal_the_uncapped_ones(build, reference, t_min):
     # step.  Window, values and int types must all be as before.
     for prec in range(1, 15):
         for t in range(t_min, 31):
-            new, ref = build(t, prec), reference(t, prec)
-            assert (new.lo, new.prec) == (ref.lo, ref.prec), (t, prec)
-            assert new.coeffs == ref.coeffs, (t, prec)
-            assert all(type(c) is int for c in new.coeffs), (t, prec)
+            _assert_same_int_series(build(t, prec), reference(t, prec), (t, prec))
+
+
+# -- references: the rebuild-per-m direct sums and gf_abr, kept verbatim ------------
+
+
+def _require_valuation(summand, m):
+    if summand.valuation() != m:
+        raise RuntimeError(
+            f"summand m={m} has valuation {summand.valuation()}, expected {m}"
+        )
+
+
+def reference_gf_pbar_direct(t, prec):
+    acc = zero(prec)
+    for m in range(1, prec):
+        s = _times_ratio(div_one_minus(monomial(2, m, prec), 1, m), m + 1, m + t)
+        _require_valuation(s, m)
+        acc = add(acc, s)
+    return acc
+
+
+def reference_gf_g_direct(t, prec):
+    acc = zero(prec)
+    for m in range(1, prec):
+        s = _times_ratio(div_one_minus(monomial(2, m, prec), 1, m), m + 1, m + t - 1)
+        s = div_one_minus(s, 1, m + t)
+        _require_valuation(s, m)
+        acc = add(acc, s)
+    return acc
+
+
+def reference_case_two_direct(t, prec):
+    case2_direct = zero(prec)
+    m = 1
+    while 2 * m + t < prec:
+        s = _times_ratio(div_one_minus(monomial(2, m, prec), 1, m), m + 1, m + t - 1)
+        s = div_one_minus(s.times_monomial(1, m + t), 1, m + t)
+        case2_direct = add(case2_direct, s)
+        m += 1
+    return case2_direct
+
+
+def reference_gf_abr(t, prec):
+    if prec <= t + 2:
+        lo = min(t - 1, prec)
+        return QSeries._make(lo, prec, [0] * (prec - lo))
+    work = max(prec, t + 1)
+    p1 = mul_one_minus(monomial(1, t - 1, work), 1, 1)
+    p1 = div_one_minus(div_one_minus(p1, 1, t), 1, t - 1)
+    p2 = p1.scale(-1)
+    for k in range(1, t + 1):
+        p2 = div_one_minus(p2, 1, k)
+    p3 = div_one_minus(monomial(1, t, work), 1, t - 1)
+    for k in range(1, t + 1):
+        p3 = div_one_minus(p3, 1, k)
+    return add(add(p1, p2), p3).truncate(prec)
+
+
+@pytest.mark.parametrize(
+    "build, reference, t_min",
+    [(gf_pbar_direct, reference_gf_pbar_direct, 0),
+     (gf_g_direct, reference_gf_g_direct, 1),
+     (identities._case_two_direct, reference_case_two_direct, 1)],
+    ids=["pbar", "g", "case-two"],
+)
+def test_smallest_part_sums_equal_the_rebuild_per_m_sums(build, reference, t_min):
+    # Each summand now comes from the one before it; every prec below 14
+    # and a spread of larger ones up to 61 keep the run short.
+    for t in range(t_min, 9):
+        for prec in [*range(14), *range(17, 62, 4)]:
+            _assert_same_int_series(build(t, prec), reference(t, prec), (t, prec))
+
+
+def test_gf_abr_equals_its_three_part_form():
+    # gf_abr divides by (q;q)_t once; the reference divides p2 and p3 apart.
+    for t in range(2, 14):
+        for prec in range(-3, t + 8):
+            _assert_same_int_series(gf_abr(t, prec), reference_gf_abr(t, prec),
+                                    (t, prec))
 
 
 def test_direct_sums_match_closed_forms():
@@ -329,6 +415,121 @@ def test_corollary_reports_int_mismatches(monkeypatch):
     report = check_corollary(1, 10)
     assert report.status == "error" and report.first_mismatch is None
     assert report.message == "internal consistency: non-integer count 9/2 at q^2"
+
+
+# -- pinned reports: the pass and fail paths of every family -------------------------
+
+
+def _bump(real, e=5, c=1):
+    """real(..., prec) plus c * q^e on the same window."""
+    return lambda *args: real(*args) + monomial(c, e, args[-1])
+
+
+def _bump_phi(real):
+    return lambda spec: real(spec) + monomial(1, 5, spec.prec)
+
+
+def _bump_pbar_at_2(real):
+    # Only gf_pbar(2, .) moves, so case (2) = (gf_pbar(2) - gf_pbar(1))/2 does.
+    def bumped(t, prec):
+        s = real(t, prec)
+        return s + monomial(2, 5, prec) if t == 2 else s
+    return bumped
+
+
+def _chu():
+    return qfunctions.verify_chu(QMonomial(-1, 0), 2, QMonomial(-1, 1), 13)
+
+
+_VS_DIRECT = "closed form deviates from the direct sum"
+_VS_ORACLE = "closed form deviates from the enumeration oracle"
+_PINNED = [
+    # (id, check, ((module, attribute, wrapper), ...), first_mismatch, message)
+    ("th1", lambda: check_th1(2, 12), (), None,
+     "closed form matches direct sum and enumeration to order 12"),
+    ("th1-direct", lambda: check_th1(2, 12),
+     ((identities, "gf_g_direct", _bump),), (5, "18", "19"), _VS_DIRECT),
+    ("th1-oracle", lambda: check_th1(2, 12),
+     ((identities, "gf_g_direct", _bump), (identities, "gf_G", _bump)),
+     (5, "19", "18"), _VS_ORACLE),
+    ("th2", lambda: check_th2(2, 12), (), None,
+     "closed form matches direct sum and enumeration to order 12"),
+    ("th2-direct", lambda: check_th2(2, 12),
+     ((identities, "gf_pbar_direct", _bump),), (5, "20", "21"), _VS_DIRECT),
+    ("th2-oracle", lambda: check_th2(2, 12),
+     ((identities, "gf_pbar_direct", _bump), (identities, "gf_pbar", _bump)),
+     (5, "21", "20"), _VS_ORACLE),
+    ("bk", lambda: check_bk(2, 12), (), None,
+     "closed form matches enumeration to order 12"),
+    ("bk-oracle", lambda: check_bk(2, 12),
+     ((identities, "gf_bk", _bump),), (5, "7", "6"), _VS_ORACLE),
+    ("abr", lambda: check_abr(3, 12), (), None,
+     "closed form matches enumeration to order 12"),
+    ("abr-oracle", lambda: check_abr(3, 12),
+     ((identities, "gf_abr", _bump),), (5, "2", "1"), _VS_ORACLE),
+    ("oqbinom", lambda: check_oqbinom_pbar(2, 12), (), None,
+     "largest-part expansion over box polynomials matches to order 12"),
+    ("oqbinom-closed", lambda: check_oqbinom_pbar(2, 12),
+     ((identities, "gf_pbar", _bump),), (5, "20", "21"),
+     "largest-part expansion deviates from the closed form"),
+    ("relation", lambda: check_pbar_g_relation(2, 12), (), None,
+     "adjacent spread bounds recombine to order 12"),
+    ("relation-g", lambda: check_pbar_g_relation(2, 12),
+     ((identities, "gf_G", _bump),), (5, "36", "38"),
+     "adjacent spread bounds fail to recombine"),
+    ("cases", lambda: check_three_cases(2, 12), (), None,
+     "three cases sum to the full series to order 12"),
+    ("cases-total", lambda: check_three_cases(2, 12),
+     ((identities, "gf_pbar", _bump),), (5, "20", "21"),
+     "three cases fail to sum to the full series"),
+    ("cases-two", lambda: check_three_cases(2, 12),
+     ((identities, "gf_pbar", _bump_pbar_at_2),), (5, "3", "2"),
+     "case (2) closed form deviates from its direct sum"),
+    ("proofchain", lambda: proof_chain_theorem1(2, 12), (), None,
+     "all five expressions agree pairwise to order 12"),
+    ("proofchain-1", lambda: proof_chain_theorem1(2, 12, perturb_step=1), (),
+     (2, "3", "2"), "step (i) deviates from step (ii)"),
+    ("proofchain-2", lambda: proof_chain_theorem1(2, 12, perturb_step=2), (),
+     (2, "2", "3"), "step (i) deviates from step (ii)"),
+    ("proofchain-3", lambda: proof_chain_theorem1(2, 12, perturb_step=3), (),
+     (2, "2", "3"), "step (ii) deviates from step (iii)"),
+    ("proofchain-4", lambda: proof_chain_theorem1(2, 12, perturb_step=4), (),
+     (2, "2", "3"), "step (iii) deviates from step (iv)"),
+    ("proofchain-5", lambda: proof_chain_theorem1(2, 12, perturb_step=5), (),
+     (2, "2", "3"), "step (iv) deviates from step (v)"),
+    ("proofchain-g", lambda: proof_chain_theorem1(2, 12),
+     ((identities, "gf_G", _bump),), (5, "9", "19/2"),
+     "step (iv) deviates from step (v)"),
+    ("chu", _chu, (), None,
+     "terminating sum equals its product form to order 12"),
+    ("chu-phi", _chu, ((qfunctions, "phi", _bump_phi),), (5, "-1", "-2"),
+     "terminating sum deviates from its product form"),
+    ("corollary", lambda: check_corollary(2, 12), (), None,
+     "parity, mod-4 congruence and square test hold for n <= 12"),
+    ("corollary-square", lambda: check_corollary(2, 12),
+     ((identities, "gf_pbar", lambda real: _bump(real, 4, 2)),), (4, "0", "2"),
+     "count at q^4 is not congruent to twice the divisor count mod 4"),
+    ("corollary-nonsquare", lambda: check_corollary(2, 12),
+     ((identities, "gf_pbar", lambda real: _bump(real, 5, 2)),), (5, "2", "0"),
+     "count at q^5 is not congruent to twice the divisor count mod 4"),
+]
+
+
+@pytest.mark.parametrize(
+    "check, patches, mismatch, message",
+    [p[1:] for p in _PINNED], ids=[p[0] for p in _PINNED],
+)
+def test_report_messages_and_first_mismatch_are_pinned(
+    monkeypatch, check, patches, mismatch, message
+):
+    for module, name, wrap in patches:
+        monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+    d = check().to_dict()
+    assert d["status"] == ("pass" if mismatch is None else "fail")
+    got = d["first_mismatch"]
+    assert got == (None if mismatch is None else
+                   dict(zip(("exponent", "lhs", "rhs"), mismatch)))
+    assert d["message"] == message
 
 
 # -- runner and report plumbing ----------------------------------------------------

@@ -1,13 +1,16 @@
 """Pochhammer symbols, q-binomials (three routes), and the phi evaluator."""
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
+from overq import kernels
 from overq.enumeration import iter_partitions, over_qbinom_box_oracle
 from overq.identities import gf_G
 from overq.qfunctions import (
+    _wrap_poly,
     NonconvergentPhiError,
     NonconvergentProductError,
     PhiDivisionError,
@@ -170,6 +173,79 @@ def test_over_qbinom_prec_keyword():
     padded = over_qbinom_sum(2, 2, prec=20)
     assert padded.prec == 20 and coeff(padded, 10) == 0
     assert over_qbinom_rec(2, 2, prec=20) == padded
+
+
+# -- references: the q-binomial builders before their loops were bounded -----------
+
+
+def reference_gauss_ints(m, n, width):
+    c = [0] * width
+    if width == 0:
+        return c
+    c[0] = 1
+    small, big = (m, n) if m <= n else (n, m)
+    for i in range(1, small + 1):
+        c = kernels.mul_one_minus(c, 1, big + i)
+        c = kernels.div_one_minus(c, 1, i)
+    return c
+
+
+def reference_qbinom(m, n, prec=None):
+    width = m * n + 1 if prec is None else min(prec, m * n + 1)
+    return _wrap_poly(reference_gauss_ints(m, n, max(width, 0)), max(width, 0), prec)
+
+
+def reference_over_qbinom_sum(m, n, prec=None):
+    natural = m * n + 1
+    width = natural if prec is None else max(0, min(prec, natural))
+    if width == 0:
+        return _wrap_poly([], 0, prec)
+    term = reference_gauss_ints(m, n, width)
+    acc = list(term)
+    for k in range(min(m, n)):
+        if k + 1 >= width:
+            break
+        term = [0] * (k + 1) + term[: width - (k + 1)]
+        term = kernels.mul_one_minus(term, 1, m - k)
+        term = kernels.mul_one_minus(term, 1, n - k)
+        term = kernels.div_one_minus(term, 1, m + n - k)
+        term = kernels.div_one_minus(term, 1, k + 1)
+        acc[k + 1 :] = map(operator.add, acc[k + 1 :], term[k + 1 :])
+    return _wrap_poly(acc, width, prec)
+
+
+@pytest.mark.parametrize(
+    "build, reference",
+    [(qbinom, reference_qbinom), (over_qbinom_sum, reference_over_qbinom_sum)],
+    ids=["qbinom", "over_qbinom_sum"],
+)
+def test_bounded_qbinom_loops_equal_the_unbounded_ones(build, reference):
+    # The loops skip every one-minus factor whose exponent reaches the
+    # window width; the factor is 1 there.
+    for m in range(11):
+        for n in range(11):
+            for prec in [None, *range(m * n + 3)]:
+                new, ref = build(m, n, prec), reference(m, n, prec)
+                assert (new.lo, new.prec) == (ref.lo, ref.prec), (m, n, prec)
+                assert new.coeffs == ref.coeffs, (m, n, prec)
+                assert all(type(c) is int for c in new.coeffs), (m, n, prec)
+
+
+
+def test_qbinom_loops_make_no_copy_only_kernel_calls(monkeypatch):
+    # A one-minus factor with exponent >= the window width is 1 there, and
+    # a kernel call for it would only copy its input.
+    fits = []
+    for name in ("mul_one_minus", "div_one_minus"):
+        real = getattr(kernels, name)
+        monkeypatch.setattr(kernels, name, lambda c, g, k, real=real: (
+            fits.append(k < len(c)) or real(c, g, k)))
+    for m in range(11):
+        for n in range(11):
+            for prec in [None, *range(m * n + 3)]:
+                qbinom(m, n, prec)
+                over_qbinom_sum(m, n, prec)
+    assert fits and all(fits)
 
 
 # -- phi ---------------------------------------------------------------------------
