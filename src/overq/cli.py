@@ -3,12 +3,15 @@
 Exit codes: 0 success (and, where applicable, all comparisons pass),
 1 verification mismatch, 2 usage or domain error.  Tables and reports go
 to standard out, diagnostics to standard error.
+
+Every request is a fresh process, so start-up counts: ``json`` is imported
+only where a JSON document is written, and nothing this module imports
+pulls in ``dataclasses`` or ``inspect`` (``tests/test_startup.py``).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -129,6 +132,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
             lines = ["n,value"] + [f"{n},{_fmt(v)}" for n, v in rows]
         print("\n".join(lines))
     else:
+        import json
+
         if args.source == "both":
             out_rows = [
                 {"n": n, "formula": _json_value(f), "oracle": _json_value(o),
@@ -165,6 +170,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
 
     if args.format == "json":
+        import json
+
         doc = {"order": args.order, "checks": [r.to_dict() for r in reports]}
         print(json.dumps(doc, indent=2))
     else:

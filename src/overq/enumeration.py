@@ -18,7 +18,6 @@ walks at small sizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Tuple
 
 from . import kernels
@@ -185,36 +184,46 @@ def oracle_series(kind: str, t: Optional[int], n_max: int) -> QSeries:
 # -- independent flag-materializing enumeration ---------------------------------
 
 
-@dataclass(frozen=True)
 class PartitionInBox:
     """A partition as a non-increasing tuple of positive parts."""
 
+    __slots__ = ("parts",)
+
     parts: Tuple[int, ...]
 
-    def __post_init__(self):
+    def __init__(self, parts: Tuple[int, ...]):
         prev = None
-        for p in self.parts:
+        for p in parts:
             if p < 1:
                 raise ValueError("parts must be positive")
             if prev is not None and p > prev:
                 raise ValueError("parts must be non-increasing")
             prev = p
+        object.__setattr__(self, "parts", parts)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PartitionInBox is immutable")
 
     def spread(self) -> int:
         return self.parts[0] - self.parts[-1] if self.parts else 0
 
 
-@dataclass(frozen=True)
 class OverPartition:
     """A partition plus the set of part values that carry an overline."""
+
+    __slots__ = ("partition", "overlined")
 
     partition: PartitionInBox
     overlined: frozenset
 
-    def __post_init__(self):
-        values = set(self.partition.parts)
-        if not set(self.overlined) <= values:
+    def __init__(self, partition: PartitionInBox, overlined: frozenset):
+        if not set(overlined) <= set(partition.parts):
             raise ValueError("overlined values must occur in the partition")
+        object.__setattr__(self, "partition", partition)
+        object.__setattr__(self, "overlined", overlined)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("OverPartition is immutable")
 
 
 def iter_partitions(

@@ -15,8 +15,7 @@ monomials here, so every term is an exact Laurent polynomial times z^n.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 from . import kernels
 from .reports import IdentityCheck, comparison_report
@@ -152,17 +151,24 @@ def over_qbinom_sum(m: int, n: int, prec: Optional[int] = None) -> QSeries:
         return _wrap_poly([], 0, prec)
     term = _gauss_ints(m, n, width)
     acc = list(term)
-    # Terms k + 1 >= width and factors (1 - q^e) with e >= width vanish or
-    # are 1 on the window, so neither reaches a kernel.
-    for k in range(min(m, n, width - 1)):
+    # Term k + 1 has valuation v = (k+1)(k+2)/2.  A factor (1 - q^e) changes
+    # only entries at v + e and above, so it reaches a kernel only when
+    # v + e < width; once v >= width this term and every later one vanish
+    # on the window.
+    v = 0
+    for k in range(min(m, n)):
+        v += k + 1
+        if v >= width:
+            break
         term = [0] * (k + 1) + term[: width - (k + 1)]
+        room = width - v
         for e in (m - k, n - k):
-            if e < width:
+            if e < room:
                 term = kernels.mul_one_minus(term, 1, e)
-        if m + n - k < width:
-            term = kernels.div_one_minus(term, 1, m + n - k)
-        term = kernels.div_one_minus(term, 1, k + 1)
-        acc[k + 1 :] = map(operator.add, acc[k + 1 :], term[k + 1 :])
+        for e in (m + n - k, k + 1):
+            if e < room:
+                term = kernels.div_one_minus(term, 1, e)
+        acc[v:] = map(operator.add, acc[v:], term[v:])
     return _wrap_poly(acc, width, prec)
 
 
@@ -197,19 +203,26 @@ def over_qbinom_rec(m: int, n: int, prec: Optional[int] = None) -> QSeries:
 # -- basic hypergeometric series -------------------------------------------------
 
 
-@dataclass(frozen=True)
 class PhiSpec:
     """Parameters of a phi series: monomial upper/lower parameters, a
     monomial argument, and the output precision."""
+
+    __slots__ = ("upper", "lower", "argument", "prec")
 
     upper: Tuple[QMonomial, ...]
     lower: Tuple[QMonomial, ...]
     argument: QMonomial
     prec: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "upper", tuple(self.upper))
-        object.__setattr__(self, "lower", tuple(self.lower))
+    def __init__(self, upper: Iterable[QMonomial], lower: Iterable[QMonomial],
+                 argument: QMonomial, prec: int):
+        object.__setattr__(self, "upper", tuple(upper))
+        object.__setattr__(self, "lower", tuple(lower))
+        object.__setattr__(self, "argument", argument)
+        object.__setattr__(self, "prec", prec)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PhiSpec is immutable")
 
 
 def _termination_index(upper: Tuple[QMonomial, ...]) -> Optional[int]:

@@ -3,8 +3,6 @@ comparisons into one report, shared by the identity and q-function layers."""
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple, Union
 
 from .series import MismatchInfo, QSeries, equal_to_order
@@ -16,17 +14,26 @@ STATUS_FAIL = "fail"
 STATUS_ERROR = "error"
 
 
-@dataclass(frozen=True)
 class IdentityCheck:
     """What was checked: a named identity, its parameters, and the order
     (largest exponent) up to which both sides were compared."""
 
+    __slots__ = ("name", "params", "order")
+
     name: str
-    params: Dict[str, Param] = field(default_factory=dict)
-    order: int = 0
+    params: Dict[str, Param]
+    order: int
+
+    def __init__(self, name: str, params: Optional[Dict[str, Param]] = None,
+                 order: int = 0):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "params", {} if params is None else params)
+        object.__setattr__(self, "order", order)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("IdentityCheck is immutable")
 
 
-@dataclass(frozen=True)
 class VerificationReport:
     """Outcome of one identity check.
 
@@ -34,16 +41,26 @@ class VerificationReport:
     message carries the reason and no comparison result is claimed.
     """
 
+    __slots__ = ("check", "status", "first_mismatch", "message")
+
     check: IdentityCheck
     status: str
-    first_mismatch: Optional[MismatchInfo] = None
-    message: str = ""
+    first_mismatch: Optional[MismatchInfo]
+    message: str
 
-    def __post_init__(self):
-        if self.status not in (STATUS_PASS, STATUS_FAIL, STATUS_ERROR):
-            raise ValueError(f"unknown status {self.status!r}")
-        if (self.status == STATUS_FAIL) != (self.first_mismatch is not None):
+    def __init__(self, check: IdentityCheck, status: str,
+                 first_mismatch: Optional[MismatchInfo] = None, message: str = ""):
+        if status not in (STATUS_PASS, STATUS_FAIL, STATUS_ERROR):
+            raise ValueError(f"unknown status {status!r}")
+        if (status == STATUS_FAIL) != (first_mismatch is not None):
             raise ValueError("first_mismatch must be present iff status is fail")
+        object.__setattr__(self, "check", check)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "first_mismatch", first_mismatch)
+        object.__setattr__(self, "message", message)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("VerificationReport is immutable")
 
     @property
     def passed(self) -> bool:
@@ -62,6 +79,8 @@ class VerificationReport:
         }
 
     def sort_key(self):
+        import json
+
         return (self.check.name, json.dumps(self.check.params, sort_keys=True))
 
 

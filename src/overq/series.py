@@ -23,7 +23,6 @@ ints and Fractions, so their results are stored unchecked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import add as _add, mul as _mul
@@ -77,19 +76,36 @@ def _div(num: Rational, den: Rational) -> Rational:
     return Fraction(num, den)
 
 
-@dataclass(frozen=True)
 class QMonomial:
     """A single exact term coeff * q^exp with coeff != 0."""
+
+    __slots__ = ("coeff", "exp")
 
     coeff: Rational
     exp: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeff", _coerce(self.coeff))
-        if self.coeff == 0:
+    def __init__(self, coeff: Rational, exp: int):
+        coeff = _coerce(coeff)
+        if coeff == 0:
             raise ValueError("QMonomial coefficient must be nonzero")
-        if not isinstance(self.exp, int):
+        if not isinstance(exp, int):
             raise TypeError("QMonomial exponent must be an int")
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "exp", exp)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("QMonomial is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeff == other.coeff and self.exp == other.exp
+
+    def __hash__(self):
+        return hash((self.coeff, self.exp))
+
+    def __repr__(self):
+        return f"QMonomial(coeff={self.coeff!r}, exp={self.exp!r})"
 
     def __mul__(self, other: "QMonomial") -> "QMonomial":
         return QMonomial(self.coeff * other.coeff, self.exp + other.exp)
@@ -383,6 +399,10 @@ def coeff(a: QSeries, e: int) -> Rational:
 def equal_to_order(a: QSeries, b: QSeries, order: int):
     """Compare all coefficients with exponent <= order.
 
+    The two runs of coefficients from the lower window start up to q^order
+    are compared as whole tuples; only when they differ does a Python loop
+    look for the first mismatch.
+
     Returns:
         (True, None) when they agree, else (False, MismatchInfo) for the
         smallest disagreeing exponent.
@@ -395,12 +415,19 @@ def equal_to_order(a: QSeries, b: QSeries, order: int):
             f"comparison up to q^{order} needs prec > {order} on both sides "
             f"(have {a.prec} and {b.prec})"
         )
-    for e in range(min(a.lo, b.lo), order + 1):
-        va = a.coeff(e)
-        vb = b.coeff(e)
+    lo = min(a.lo, b.lo)
+    run_a = _run(a, lo, order + 1)
+    run_b = _run(b, lo, order + 1)
+    if run_a == run_b:
+        return True, None
+    for i, (va, vb) in enumerate(zip(run_a, run_b)):
         if va != vb:
-            return False, MismatchInfo(e, va, vb)
-    return True, None
+            return False, MismatchInfo(lo + i, va, vb)
+
+
+def _run(a: QSeries, lo: int, stop: int) -> Tuple[Rational, ...]:
+    """Coefficients of q^lo .. q^(stop-1), for lo <= a.lo and stop <= a.prec."""
+    return (0,) * max(min(a.lo, stop) - lo, 0) + a.coeffs[: max(stop - a.lo, 0)]
 
 
 # -- exact binomial factors ------------------------------------------------------
@@ -420,6 +447,8 @@ def mul_one_minus(a: QSeries, g: Rational, k: int) -> QSeries:
     if k < 0:
         # (1 - g*q^k) = (-g*q^k) * (1 - (1/g)*q^{-k})
         return mul_one_minus(a, _div(1, g), -k).times_monomial(-g, k)
+    if k >= a.prec - a.lo:
+        return a  # the factor is 1 on the window
     return QSeries._make(a.lo, a.prec, kernels.mul_one_minus(a.coeffs, g, k))
 
 
@@ -435,4 +464,6 @@ def div_one_minus(a: QSeries, g: Rational, k: int) -> QSeries:
     if k < 0:
         inv = _div(1, g)
         return div_one_minus(a.times_monomial(-inv, -k), inv, -k)
+    if k >= a.prec - a.lo:
+        return a  # the factor is 1 on the window
     return QSeries._make(a.lo, a.prec, kernels.div_one_minus(a.coeffs, g, k))

@@ -214,37 +214,46 @@ def reference_over_qbinom_sum(m, n, prec=None):
     return _wrap_poly(acc, width, prec)
 
 
+BOXES = [(m, n) for m in range(11) for n in range(11)] + [
+    (1, 24), (24, 1), (2, 17), (17, 3), (13, 12),
+]
+
+
 @pytest.mark.parametrize(
     "build, reference",
     [(qbinom, reference_qbinom), (over_qbinom_sum, reference_over_qbinom_sum)],
     ids=["qbinom", "over_qbinom_sum"],
 )
 def test_bounded_qbinom_loops_equal_the_unbounded_ones(build, reference):
-    # The loops skip every one-minus factor whose exponent reaches the
-    # window width; the factor is 1 there.
-    for m in range(11):
-        for n in range(11):
-            for prec in [None, *range(m * n + 3)]:
-                new, ref = build(m, n, prec), reference(m, n, prec)
-                assert (new.lo, new.prec) == (ref.lo, ref.prec), (m, n, prec)
-                assert new.coeffs == ref.coeffs, (m, n, prec)
-                assert all(type(c) is int for c in new.coeffs), (m, n, prec)
+    # The loops skip every one-minus factor that cannot change an entry
+    # below the window width, and the sum stops at the first term whose
+    # valuation reaches the width.
+    for m, n in BOXES:
+        for prec in [None, *range(m * n + 3)]:
+            new, ref = build(m, n, prec), reference(m, n, prec)
+            assert (new.lo, new.prec) == (ref.lo, ref.prec), (m, n, prec)
+            assert new.coeffs == ref.coeffs, (m, n, prec)
+            assert all(type(c) is int for c in new.coeffs), (m, n, prec)
 
 
 
 def test_qbinom_loops_make_no_copy_only_kernel_calls(monkeypatch):
-    # A one-minus factor with exponent >= the window width is 1 there, and
-    # a kernel call for it would only copy its input.
+    # A one-minus factor (1 - q^k) on coefficients c changes only entries at
+    # k + (valuation of c) and above.  When that is the width or more, the
+    # factor is 1 on the window and a kernel call would only copy c.
     fits = []
+
+    def valuation(c):
+        return next((i for i, x in enumerate(c) if x), len(c))
+
     for name in ("mul_one_minus", "div_one_minus"):
         real = getattr(kernels, name)
         monkeypatch.setattr(kernels, name, lambda c, g, k, real=real: (
-            fits.append(k < len(c)) or real(c, g, k)))
-    for m in range(11):
-        for n in range(11):
-            for prec in [None, *range(m * n + 3)]:
-                qbinom(m, n, prec)
-                over_qbinom_sum(m, n, prec)
+            fits.append(valuation(c) + k < len(c)) or real(c, g, k)))
+    for m, n in BOXES:
+        for prec in [None, *range(m * n + 3)]:
+            qbinom(m, n, prec)
+            over_qbinom_sum(m, n, prec)
     assert fits and all(fits)
 
 

@@ -1,14 +1,17 @@
 """Series arithmetic: windows, ring behavior, inversion, error contracts."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from overq import kernels
 from overq.series import (
     EmptyWindowError,
+    MismatchInfo,
     NotInvertibleError,
     PrecisionExceededError,
     QMonomial,
@@ -28,6 +31,7 @@ from overq.series import (
     one,
     zero,
 )
+from overq.series import _coerce, _div
 
 F = Fraction
 
@@ -449,3 +453,157 @@ def test_true_divisions_give_fractions_not_floats(a, c0, g, k, num, den):
     quotient = QMonomial(num, 2) / QMonomial(den, 1)
     assert quotient.exp == 1 and quotient.coeff == F(num, den)
     assert type(quotient.coeff) is (int if den in (1, -1) else F)
+
+
+# -- one-minus factors beyond the window -------------------------------------------
+#
+# For k >= prec - lo the factor (1 - g*q^k) is 1 on the window, and the
+# helpers return their input without a kernel call.  The bodies below are
+# the helpers before that shortcut, kept verbatim as references.
+
+
+def reference_mul_one_minus(a, g, k):
+    g = _coerce(g)
+    if g == 0:
+        return a
+    if k == 0:
+        return a.scale(1 - g)
+    if k < 0:
+        return reference_mul_one_minus(a, _div(1, g), -k).times_monomial(-g, k)
+    return QSeries._make(a.lo, a.prec, kernels.mul_one_minus(a.coeffs, g, k))
+
+
+def reference_div_one_minus(a, g, k):
+    g = _coerce(g)
+    if g == 0:
+        return a
+    if k == 0:
+        if g == 1:
+            raise NotInvertibleError("division by (1 - q^0) which is zero")
+        return a.scale(_div(1, 1 - g))
+    if k < 0:
+        inv = _div(1, g)
+        return reference_div_one_minus(a.times_monomial(-inv, -k), inv, -k)
+    return QSeries._make(a.lo, a.prec, kernels.div_one_minus(a.coeffs, g, k))
+
+
+@st.composite
+def windowed_series(draw):
+    lo = draw(st.integers(-6, 4))
+    width = draw(st.integers(0, 9))
+    values = st.one_of(st.integers(-9, 9), st.fractions(max_denominator=5))
+    coeffs = draw(st.lists(values, min_size=width, max_size=width))
+    return QSeries(lo, lo + width, coeffs)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    a=windowed_series(),
+    g=st.sampled_from((1, -1, 2, F(1, 2), F(-3, 2))),
+    k=st.integers(-12, 12),
+)
+def test_one_minus_helpers_match_the_unguarded_bodies(a, g, k):
+    for new, ref in ((mul_one_minus, reference_mul_one_minus),
+                     (div_one_minus, reference_div_one_minus)):
+        try:
+            want = ref(a, g, k)
+        except NotInvertibleError:
+            with pytest.raises(NotInvertibleError):
+                new(a, g, k)
+            continue
+        got = new(a, g, k)
+        assert (got.lo, got.prec, got.coeffs) == (want.lo, want.prec, want.coeffs)
+        assert list(map(type, got.coeffs)) == list(map(type, want.coeffs))
+
+
+def test_one_minus_helpers_skip_factors_beyond_the_window(monkeypatch):
+    calls = []
+    for name in ("mul_one_minus", "div_one_minus"):
+        real = getattr(kernels, name)
+        monkeypatch.setattr(kernels, name, lambda c, g, k, real=real: (
+            calls.append((len(c), k)) or real(c, g, k)))
+    a = QSeries(-2, 3, [1, 2, 0, -1, 4])
+    for k in (5, 6, 40):
+        for g in (1, -1, 2, F(1, 2)):
+            assert mul_one_minus(a, g, k) is a
+            assert div_one_minus(a, g, k) is a
+    assert calls == []
+    mul_one_minus(a, 2, 4)
+    div_one_minus(a, 2, 4)
+    assert calls == [(5, 4), (5, 4)]
+
+
+# -- equal_to_order against its per-exponent loop -----------------------------------
+
+
+def reference_equal_to_order(a, b, order):
+    """The per-exponent body equal_to_order had before, kept verbatim."""
+    if order >= a.prec or order >= b.prec:
+        raise PrecisionExceededError(
+            f"comparison up to q^{order} needs prec > {order} on both sides "
+            f"(have {a.prec} and {b.prec})"
+        )
+    for e in range(min(a.lo, b.lo), order + 1):
+        va = a.coeff(e)
+        vb = b.coeff(e)
+        if va != vb:
+            return False, MismatchInfo(e, va, vb)
+    return True, None
+
+
+def assert_same_comparison(a, b, order):
+    try:
+        want = reference_equal_to_order(a, b, order)
+    except PrecisionExceededError as exc:
+        with pytest.raises(PrecisionExceededError, match=re.escape(str(exc))):
+            equal_to_order(a, b, order)
+        return
+    got = equal_to_order(a, b, order)
+    assert got == want
+    if want[1] is not None:
+        assert type(got[1]) is MismatchInfo
+        assert type(got[1].lhs) is type(want[1].lhs)
+        assert type(got[1].rhs) is type(want[1].rhs)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    a=windowed_series(),
+    shift=st.integers(-4, 4),
+    edits=st.lists(
+        st.tuples(st.integers(0, 12), st.one_of(st.integers(-2, 2), st.just(F(1, 3)))),
+        max_size=3,
+    ),
+    trim=st.integers(0, 3),
+    order=st.integers(-12, 12),
+)
+def test_equal_to_order_matches_the_per_exponent_loop(a, shift, edits, trim, order):
+    # b is a with its window start moved by shift (zeros fill or are dropped
+    # where that is exact), a few entries changed, and maybe a shorter window.
+    lo = a.lo + shift
+    coeffs = [a.coeff(e) if e >= a.lo else 0 for e in range(lo, a.prec)]
+    for i, v in edits:
+        if i < len(coeffs):
+            coeffs[i] = v
+    b = QSeries(lo, max(lo, a.prec - trim), coeffs[: max(a.prec - trim - lo, 0)])
+    assert_same_comparison(a, b, order)
+    assert_same_comparison(b, a, order)
+
+
+def test_equal_to_order_finds_mismatch_at_the_first_and_last_exponent():
+    a = QSeries(-3, 5, [F(1, 2), 0, 1, 2, 3, 4, 5, 6])
+    for e in (-3, 4):
+        b = from_terms([(x, a.coeff(x) + (x == e)) for x in range(-3, 5)], 5)
+        assert equal_to_order(a, b, 4) == (False, MismatchInfo(e, a.coeff(e), b.coeff(e)))
+        assert_same_comparison(a, b, 4)
+    # unequal window starts: the first exponent is the lower start
+    c = QSeries(-1, 5, [1, 2, 3, 4, 5, 6])
+    assert equal_to_order(a, c, 4) == (False, MismatchInfo(-3, F(1, 2), 0))
+    assert type(equal_to_order(c, a, 4)[1].lhs) is int
+    d = QSeries(-1, 5, [1, 2, 3, 4, 5, 7])
+    e = QSeries(-4, 5, [0, 0, 0, 1, 2, 3, 4, 5, 6])
+    assert equal_to_order(e, d, 4) == (False, MismatchInfo(4, 6, 7))
+    assert equal_to_order(e, c, 4) == (True, None)
+    for x, y in ((a, c), (c, a), (e, d), (d, e), (e, c), (c, e)):
+        for order in range(-5, 5):
+            assert_same_comparison(x, y, order)
