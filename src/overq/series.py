@@ -416,8 +416,8 @@ def equal_to_order(a: QSeries, b: QSeries, order: int):
             f"(have {a.prec} and {b.prec})"
         )
     lo = min(a.lo, b.lo)
-    run_a = _run(a, lo, order + 1)
-    run_b = _run(b, lo, order + 1)
+    run_a = _coeff_run(a, lo, order + 1)
+    run_b = _coeff_run(b, lo, order + 1)
     if run_a == run_b:
         return True, None
     for i, (va, vb) in enumerate(zip(run_a, run_b)):
@@ -425,7 +425,7 @@ def equal_to_order(a: QSeries, b: QSeries, order: int):
             return False, MismatchInfo(lo + i, va, vb)
 
 
-def _run(a: QSeries, lo: int, stop: int) -> Tuple[Rational, ...]:
+def _coeff_run(a: QSeries, lo: int, stop: int) -> Tuple[Rational, ...]:
     """Coefficients of q^lo .. q^(stop-1), for lo <= a.lo and stop <= a.prec."""
     return (0,) * max(min(a.lo, stop) - lo, 0) + a.coeffs[: max(stop - a.lo, 0)]
 

@@ -179,24 +179,23 @@ def test_overpartition_arguments_and_validation():
 # -- immutability ---------------------------------------------------------------------
 
 
-def _instances():
-    check = IdentityCheck("th1", {"t": 1}, 4)
-    p = PartitionInBox((2, 1))
-    q = QMonomial(1, 1)
-    return [
-        (QMonomial(2, 3), ("coeff", "exp")),
-        (check, ("name", "params", "order")),
-        (VerificationReport(check, "pass", None, "ok"),
-         ("check", "status", "first_mismatch", "message")),
-        (PhiSpec((q,), (), q, 5), ("upper", "lower", "argument", "prec")),
-        (p, ("parts",)),
-        (OverPartition(p, frozenset({1})), ("partition", "overlined")),
-    ]
+_CHECK = IdentityCheck("th1", {"t": 1}, 4)
+_PARTITION = PartitionInBox((2, 1))
+_Q = QMonomial(1, 1)
+INSTANCES = [
+    (QMonomial(2, 3), ("coeff", "exp")),
+    (_CHECK, ("name", "params", "order")),
+    (VerificationReport(_CHECK, "pass", None, "ok"),
+     ("check", "status", "first_mismatch", "message")),
+    (PhiSpec((_Q,), (), _Q, 5), ("upper", "lower", "argument", "prec")),
+    (_PARTITION, ("parts",)),
+    (OverPartition(_PARTITION, frozenset({1})), ("partition", "overlined")),
+]
 
 
-@pytest.mark.parametrize("index", range(6))
-def test_assignment_raises_attribute_error(index):
-    obj, names = _instances()[index]
+@pytest.mark.parametrize(
+    "obj, names", INSTANCES, ids=[type(obj).__name__ for obj, _ in INSTANCES])
+def test_assignment_raises_attribute_error(obj, names):
     for name in (*names, "extra"):
         before = getattr(obj, name, None)
         with pytest.raises(AttributeError):
