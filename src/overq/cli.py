@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from typing import List, Optional, Tuple
 
 from .enumeration import oracle_series
 from .identities import (
@@ -65,7 +64,7 @@ def _json_value(value):
 # -- table -----------------------------------------------------------------------
 
 
-def _formula_series(kind: str, t: Optional[int], prec: int) -> QSeries:
+def _formula_series(kind: str, t: int | None, prec: int) -> QSeries:
     if kind == "pbar":
         return gf_pbar(t, prec)
     if kind == "g":
@@ -79,12 +78,12 @@ def _formula_series(kind: str, t: Optional[int], prec: int) -> QSeries:
     return gf_overline_total(prec)
 
 
-def _formula_values(kind: str, t: Optional[int], n_max: int) -> List[Rational]:
+def _formula_values(kind: str, t: int | None, n_max: int) -> list[Rational]:
     s = _formula_series(kind, t, n_max + 1)
     return [coeff(s, n) for n in range(1, n_max + 1)]
 
 
-def _oracle_values(kind: str, t: Optional[int], n_max: int) -> List[int]:
+def _oracle_values(kind: str, t: int | None, n_max: int) -> list[int]:
     s = oracle_series(_ORACLE_KIND[kind], t, n_max)
     return [int(coeff(s, n)) for n in range(1, n_max + 1)]
 
@@ -213,7 +212,7 @@ def _coeff_series(args: argparse.Namespace, prec: int) -> QSeries:
     return gf_abr(args.t, prec)
 
 
-def format_coeff(value: Rational) -> Tuple[str, bool]:
+def format_coeff(value: Rational) -> tuple[str, bool]:
     """Render an exact coefficient; the flag marks a non-integer value."""
     if value.denominator == 1:
         return str(value.numerator), False
@@ -284,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     return args.func(args)
 

@@ -18,7 +18,7 @@ walks at small sizes.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional, Tuple
+from collections.abc import Callable, Iterator
 
 from . import kernels
 from .series import QSeries
@@ -89,7 +89,7 @@ _SPREADS = _HeldWalk(lambda n, t: kernels.window_diff_counts(n, t))
 _TOTALS = _HeldWalk(lambda n, _t: kernels.all_partition_weighted_counts(n))
 
 
-def _spread_counts(kind: str, t: int, lo: int, hi: int) -> List[int]:
+def _spread_counts(kind: str, t: int, lo: int, hi: int) -> list[int]:
     """Entries n = lo..hi of a spread statistic, as weighted row sums.
 
     p_t counts partitions with spread s <= t, p_exact_t those with s == t;
@@ -157,7 +157,7 @@ def over_qbinom_box_oracle(m: int, n: int) -> QSeries:
     return QSeries._make(0, m * n + 1, counts)
 
 
-def oracle_series(kind: str, t: Optional[int], n_max: int) -> QSeries:
+def oracle_series(kind: str, t: int | None, n_max: int) -> QSeries:
     """Enumerated counts as a series: sum_{n=1}^{n_max} count(n) q^n.
 
     kind selects the statistic: "pbar_t" (count_opbar_bounded), "g_t"
@@ -189,9 +189,9 @@ class PartitionInBox:
 
     __slots__ = ("parts",)
 
-    parts: Tuple[int, ...]
+    parts: tuple[int, ...]
 
-    def __init__(self, parts: Tuple[int, ...]):
+    def __init__(self, parts: tuple[int, ...]):
         prev = None
         for p in parts:
             if p < 1:
@@ -227,8 +227,8 @@ class OverPartition:
 
 
 def iter_partitions(
-    n: int, max_part: Optional[int] = None, min_part: int = 1
-) -> Iterator[Tuple[int, ...]]:
+    n: int, max_part: int | None = None, min_part: int = 1
+) -> Iterator[tuple[int, ...]]:
     """All partitions of n with parts in [min_part, max_part], largest first.
 
     Iterative, so the depth of a partition is bounded by memory, not by the

@@ -12,9 +12,18 @@ per-entry loop, which is faster at the widths used.  A coefficient is an
 exact rational,
 ``int | Fraction`` (never a float or a bool): multiply-add keeps ints as
 ints, and only ``invert_unit`` divides, through Fraction, when the unit's
-constant term is not +-1.  Enumeration kernels walk partition trees once
-per call and accumulate exact integer counts, so results are arbitrary
-precision by construction.
+constant term is not +-1.
+
+Enumeration kernels walk partition trees once per call and accumulate exact
+integer counts, so results are arbitrary precision by construction.  The
+two oracle walks (``window_diff_counts`` and
+``all_partition_weighted_counts``) visit each prefix once, on its own: a
+prefix is the multiset of every part above the smallest one a partition may
+use.  The smallest part's multiplicities are the last free choice, and they
+are counted by one running sum per walk step instead of one increment each.
+That sum is written inline and merges prefixes of equal total only for the
+smallest part, so the oracles share no code with the coefficient kernels
+and never become a DP over the product formula they are meant to check.
 """
 
 from fractions import Fraction
@@ -164,14 +173,21 @@ def window_diff_counts(n_max, t):
 
     The walk runs largest part first, in the reverse-lexicographic order of
     Knuth, TAOCP 7.2.1.4.  For each largest part L it adds values v from
-    L - 1 down to lo = max(1, L - t), each with multiplicity >= 1.  The
-    value added last is the smallest part, so every multiplicity adds 1 to
-    c[L - v][d].  A branch goes deeper only while one more part of size lo
-    still fits in n_max.
+    L - 1 down to lo + 1, lo = max(1, L - t), each with multiplicity >= 1,
+    and adds 1 to c[L - v][d] per multiplicity.  Every prefix that still
+    has room for a part of size lo is visited once, on its own, and
+    recorded by its total and distinct count; those whose last value is
+    lo + 1 are recorded in the loop over that value's multiplicities,
+    without a call each.  The parts of size lo are the last free choice:
+    after L's subtree, one running sum along each residue class mod lo adds
+    every recorded prefix at total + lo, total + 2*lo, ... <= n_max to
+    c[L - lo][d].  Prefixes of equal total are merged only there, for the
+    smallest part, so the table still comes from listing partitions and not
+    from a product formula.
 
-    Each partition with spread at most t is visited once and adds 1 to one
-    entry, so any statistic of (spread, distinct values) follows by weighted
-    sums over the rows.
+    Each partition with spread at most t is counted once, in one entry, so
+    any statistic of (spread, distinct values) follows by weighted sums
+    over the rows.
     """
     d_max = 0
     while (d_max + 1) * (d_max + 2) // 2 <= n_max:
@@ -182,61 +198,96 @@ def window_diff_counts(n_max, t):
     ]
 
     for L in range(1, n_max + 1):
+        row = acc[0][1]
+        for tot in range(L, n_max + 1, L):
+            row[tot] += 1
         lo = L - t if L > t else 1
         lim = n_max - lo
+        if lo == L or L > lim:
+            continue  # no smaller part fits below L
+
+        # starts[d][total]: prefixes of this total that take lo as their
+        # d-th distinct value.  The spare last row is never written; it
+        # lets the v = lo + 1 loop below look up its row unconditionally.
+        rows = acc[L - lo]
+        starts = [[0] * (n_max + 1) for _ in range(len(rows) + 1)]
+        lo1 = lo + 1
 
         def rec(last, total, nd):
-            # Add each value in [lo, last) that fits, largest first; a call
-            # is made only when a part of size lo still fits.
+            # Record this prefix, then add each value in (lo, last) that
+            # fits, largest first; a call is made only when lo still fits.
             nd += 1
+            starts[nd][total] += 1
             top = n_max - total
             if top >= last:
                 top = last - 1
-            for v in range(top, lo - 1, -1):
+            for v in range(top, lo1, -1):
                 row = acc[L - v][nd]
-                if v > lo:
-                    for tot in range(total + v, n_max + 1, v):
-                        row[tot] += 1
-                        if tot <= lim:
-                            rec(v, tot, nd)
-                else:
-                    for tot in range(total + v, n_max + 1, v):
-                        row[tot] += 1
+                for tot in range(total + v, n_max + 1, v):
+                    row[tot] += 1
+                    if tot <= lim:
+                        rec(v, tot, nd)
+            if top >= lo1:
+                # Below lo + 1 only lo is left, so these prefixes are
+                # recorded in place instead of by a call each.
+                row = acc[L - lo1][nd]
+                st = starts[nd + 1]
+                for tot in range(total + lo1, n_max + 1, lo1):
+                    row[tot] += 1
+                    if tot <= lim:
+                        st[tot] += 1
 
         # The largest part L appears at least once; smaller values are
         # optional and strictly decreasing, so each multiset is hit once.
-        row = acc[0][1]
-        deeper = L > lo
-        for tot in range(L, n_max + 1, L):
-            row[tot] += 1
-            if deeper and tot <= lim:
-                rec(L, tot, 1)
+        for tot in range(L, lim + 1, L):
+            rec(L, tot, 1)
+        # One or more parts of size lo after each prefix: st[x] becomes the
+        # number of prefixes at x, x - lo, x - 2*lo, ..., and each of them
+        # reaches x + lo.
+        for d in range(2, len(rows)):
+            st = starts[d]
+            for x in range(L + lo, lim + 1):
+                st[x] += st[x - lo]
+            row = rows[d]
+            row[L + lo :] = map(add, row[L + lo :], st[L:])
     return acc
 
 
 def all_partition_weighted_counts(n_max):
     """Overpartition totals: entry n is sum over partitions of 2**distinct.
 
-    Entry 0 counts the empty partition once.  No constraint on parts.
+    Entry 0 counts the empty partition once.  No constraint on parts.  The
+    walk visits each partition into parts >= 2 once, largest part first,
+    and counts the parts of size 1 after it by one prefix sum, as
+    :func:`window_diff_counts` does for its smallest part.
     """
     acc = [0] * (n_max + 1)
     acc[0] = 1
+    # ones[x]: summed weight of the partitions of x into parts >= 2, each
+    # doubled for the value 1 that follows (entry n_max is never read).
+    ones = [0] * (n_max + 1)
 
-    def rec(maxv, total, weight):
+    def rec(maxv, total, w2):
+        # w2 is twice this prefix's weight: the weight once one more
+        # distinct value joins it.
+        ones[total] += w2
         top = n_max - total
         if top > maxv:
             top = maxv
-        for v in range(top, 0, -1):
-            tot = total
-            w2 = weight * 2
-            while True:
-                tot += v
-                if tot > n_max:
-                    break
+        w4 = w2 * 2
+        for v in range(top, 2, -1):
+            for tot in range(total + v, n_max + 1, v):
                 acc[tot] += w2
-                if v > 1:
-                    rec(v - 1, tot, w2)
+                if tot < n_max:
+                    rec(v - 1, tot, w4)
+        if top >= 2:
+            # Below 2 only 1 is left: record these prefixes in place.
+            for tot in range(total + 2, n_max + 1, 2):
+                acc[tot] += w2
+                ones[tot] += w4
 
     if n_max >= 1:
-        rec(n_max, 0, 1)
+        rec(n_max, 0, 2)
+        # One or more parts of size 1: entry x gains every ones[y], y < x.
+        acc[1:] = map(add, acc[1:], accumulate(ones))
     return acc

@@ -15,7 +15,7 @@ monomials here, so every term is an exact Laurent polynomial times z^n.
 from __future__ import annotations
 
 import operator
-from typing import Iterable, Optional, Tuple
+from collections.abc import Iterable
 
 from . import kernels
 from .reports import IdentityCheck, comparison_report
@@ -113,7 +113,7 @@ def _gauss_ints(m: int, n: int, width: int) -> list:
     return c
 
 
-def _wrap_poly(ints: list, width: int, prec: Optional[int]) -> QSeries:
+def _wrap_poly(ints: list, width: int, prec: int | None) -> QSeries:
     """Int coefficients of an exact polynomial -> QSeries at the target prec."""
     s = QSeries._make(0, width, ints)
     if prec is None or prec == width:
@@ -121,7 +121,7 @@ def _wrap_poly(ints: list, width: int, prec: Optional[int]) -> QSeries:
     return s.pad_exact(prec) if prec > width else s.truncate(prec)
 
 
-def qbinom(m: int, n: int, prec: Optional[int] = None) -> QSeries:
+def qbinom(m: int, n: int, prec: int | None = None) -> QSeries:
     """Gaussian q-binomial: generating function, by the size being
     partitioned, of partitions with at most n parts, each at most m.
 
@@ -132,7 +132,7 @@ def qbinom(m: int, n: int, prec: Optional[int] = None) -> QSeries:
     return _wrap_poly(_gauss_ints(m, n, max(width, 0)), max(width, 0), prec)
 
 
-def over_qbinom_sum(m: int, n: int, prec: Optional[int] = None) -> QSeries:
+def over_qbinom_sum(m: int, n: int, prec: int | None = None) -> QSeries:
     """Overpartition analogue of the q-binomial, by its explicit sum.
 
     Counts overpartitions (each partition weighted by 2**distinct parts)
@@ -172,7 +172,7 @@ def over_qbinom_sum(m: int, n: int, prec: Optional[int] = None) -> QSeries:
     return _wrap_poly(acc, width, prec)
 
 
-def over_qbinom_rec(m: int, n: int, prec: Optional[int] = None) -> QSeries:
+def over_qbinom_rec(m: int, n: int, prec: int | None = None) -> QSeries:
     """Overpartition q-binomial by its Pascal-style recurrence.
 
     f(i, j) = f(i, j-1) + q^j f(i-1, j) + q^j f(i-1, j-1) with
@@ -209,8 +209,8 @@ class PhiSpec:
 
     __slots__ = ("upper", "lower", "argument", "prec")
 
-    upper: Tuple[QMonomial, ...]
-    lower: Tuple[QMonomial, ...]
+    upper: tuple[QMonomial, ...]
+    lower: tuple[QMonomial, ...]
     argument: QMonomial
     prec: int
 
@@ -225,7 +225,7 @@ class PhiSpec:
         raise AttributeError("PhiSpec is immutable")
 
 
-def _termination_index(upper: Tuple[QMonomial, ...]) -> Optional[int]:
+def _termination_index(upper: tuple[QMonomial, ...]) -> int | None:
     """Smallest n making a numerator factor vanish, or None."""
     stops = [-u.exp for u in upper if u.coeff == 1 and u.exp <= 0]
     return min(stops) if stops else None

@@ -3,11 +3,9 @@ comparisons into one report, shared by the identity and q-function layers."""
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple, Union
-
 from .series import MismatchInfo, QSeries, equal_to_order
 
-Param = Union[int, str]
+Param = int | str
 
 STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
@@ -21,10 +19,10 @@ class IdentityCheck:
     __slots__ = ("name", "params", "order")
 
     name: str
-    params: Dict[str, Param]
+    params: dict[str, Param]
     order: int
 
-    def __init__(self, name: str, params: Optional[Dict[str, Param]] = None,
+    def __init__(self, name: str, params: dict[str, Param] | None = None,
                  order: int = 0):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "params", {} if params is None else params)
@@ -45,11 +43,11 @@ class VerificationReport:
 
     check: IdentityCheck
     status: str
-    first_mismatch: Optional[MismatchInfo]
+    first_mismatch: MismatchInfo | None
     message: str
 
     def __init__(self, check: IdentityCheck, status: str,
-                 first_mismatch: Optional[MismatchInfo] = None, message: str = ""):
+                 first_mismatch: MismatchInfo | None = None, message: str = ""):
         if status not in (STATUS_PASS, STATUS_FAIL, STATUS_ERROR):
             raise ValueError(f"unknown status {status!r}")
         if (status == STATUS_FAIL) != (first_mismatch is not None):
@@ -86,7 +84,7 @@ class VerificationReport:
 
 def comparison_report(
     check: IdentityCheck, pass_message: str,
-    *comparisons: Tuple[QSeries, QSeries, str],
+    *comparisons: tuple[QSeries, QSeries, str],
 ) -> VerificationReport:
     """Compare each (lhs, rhs, fail message) to check.order, in order; the
     first pair that differs gives the fail report, else the pass report."""

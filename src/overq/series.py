@@ -23,14 +23,14 @@ ints and Fractions, so their results are stored unchecked.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from itertools import repeat
 from operator import add as _add, mul as _mul
-from typing import Iterable, NamedTuple, Optional, Tuple, Union
 
 from . import kernels
 
-Rational = Union[int, Fraction]
+Rational = int | Fraction
 
 
 class QSeriesError(Exception):
@@ -127,7 +127,7 @@ class QSeries:
 
     lo: int
     prec: int
-    coeffs: Tuple[Rational, ...]
+    coeffs: tuple[Rational, ...]
 
     def __init__(self, lo: int, prec: int, coeffs: Iterable[Rational]):
         cs = tuple(_coerce(c) for c in coeffs)
@@ -171,7 +171,7 @@ class QSeries:
             return 0
         return self.coeffs[e - self.lo]
 
-    def valuation(self) -> Optional[int]:
+    def valuation(self) -> int | None:
         """Exponent of the first nonzero known coefficient, or None."""
         for i, c in enumerate(self.coeffs):
             if c:
@@ -273,18 +273,31 @@ def _term_str(c: Rational, e: int) -> str:
     return f"{c}*{q}"
 
 
-class MismatchInfo(NamedTuple):
-    """First disagreeing coefficient found by equal_to_order."""
+class MismatchInfo(tuple):
+    """First disagreeing coefficient found by equal_to_order: the tuple
+    (exponent, lhs, rhs), whose items are also read by those names."""
 
-    exponent: int
-    lhs: Rational
-    rhs: Rational
+    __slots__ = ()
+
+    def __new__(cls, exponent: int, lhs: Rational, rhs: Rational):
+        return tuple.__new__(cls, (exponent, lhs, rhs))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    exponent = property(lambda self: self[0])
+    lhs = property(lambda self: self[1])
+    rhs = property(lambda self: self[2])
+
+    def __repr__(self):
+        return (f"MismatchInfo(exponent={self[0]!r}, lhs={self[1]!r}, "
+                f"rhs={self[2]!r})")
 
 
 # -- constructors -------------------------------------------------------------
 
 
-def from_terms(terms: Iterable[Tuple[int, Rational]], prec: int) -> QSeries:
+def from_terms(terms: Iterable[tuple[int, Rational]], prec: int) -> QSeries:
     """Build a series from (exponent, coefficient) pairs, known to O(q^prec).
 
     Duplicate exponents accumulate.  With no terms the window is
@@ -425,7 +438,7 @@ def equal_to_order(a: QSeries, b: QSeries, order: int):
             return False, MismatchInfo(lo + i, va, vb)
 
 
-def _coeff_run(a: QSeries, lo: int, stop: int) -> Tuple[Rational, ...]:
+def _coeff_run(a: QSeries, lo: int, stop: int) -> tuple[Rational, ...]:
     """Coefficients of q^lo .. q^(stop-1), for lo <= a.lo and stop <= a.prec."""
     return (0,) * max(min(a.lo, stop) - lo, 0) + a.coeffs[: max(stop - a.lo, 0)]
 

@@ -5,6 +5,7 @@ the check runner's report plumbing."""
 
 import json
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -393,6 +394,14 @@ def test_corollary_check():
         check_corollary(-1, 30)
     with pytest.raises(ValueError):
         check_corollary(1, 0)
+
+
+def test_twice_the_divisor_count_is_2_mod_4_exactly_at_squares():
+    # Why check_corollary has no separate square test: a count congruent to
+    # 2*d(n) mod 4 is divisible by 4 exactly when n is not a square.
+    for n in range(1, 10**4 + 1):
+        square = isqrt(n) ** 2 == n
+        assert (2 * divisor_count(n) % 4 == 2) == square, n
 
 
 def test_corollary_reports_int_mismatches(monkeypatch):

@@ -1,7 +1,10 @@
 """The six immutable value types: constructor arguments and defaults, every
 validation error, refusal of attribute assignment, QMonomial's ==, hash and
-repr, and a report's dict form and sort key."""
+repr, and a report's dict form and sort key; MismatchInfo's fields, tuple
+behaviour and repr, and the Rational alias."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -9,7 +12,7 @@ import pytest
 from overq.enumeration import OverPartition, PartitionInBox
 from overq.qfunctions import PhiSpec
 from overq.reports import IdentityCheck, VerificationReport
-from overq.series import MismatchInfo, QMonomial
+from overq.series import MismatchInfo, QMonomial, Rational
 
 
 class _Int(int):
@@ -74,6 +77,36 @@ def test_identity_check_arguments_and_defaults():
     assert (p.name, p.params, p.order) == ("abr", {"t": 3}, 11)
     with pytest.raises(TypeError):
         IdentityCheck()
+
+
+# -- MismatchInfo and Rational -----------------------------------------------------
+
+
+def test_mismatch_info_is_a_named_triple():
+    mm = MismatchInfo(4, Fraction(1, 2), 3)
+    assert (mm.exponent, mm.lhs, mm.rhs) == (4, Fraction(1, 2), 3)
+    assert MismatchInfo(rhs=3, lhs=Fraction(1, 2), exponent=4) == mm
+    assert mm == (4, Fraction(1, 2), 3) and isinstance(mm, tuple)
+    assert hash(mm) == hash((4, Fraction(1, 2), 3))
+    exponent, lhs, rhs = mm
+    assert (exponent, lhs, rhs) == (4, Fraction(1, 2), 3)
+    assert len(mm) == 3 and mm[0] == 4 and mm[-1] == 3
+    assert repr(mm) == "MismatchInfo(exponent=4, lhs=Fraction(1, 2), rhs=3)"
+    assert repr(MismatchInfo(-1, 0, -2)) == "MismatchInfo(exponent=-1, lhs=0, rhs=-2)"
+    for clone in (copy.copy(mm), copy.deepcopy(mm), pickle.loads(pickle.dumps(mm))):
+        assert type(clone) is MismatchInfo and clone == mm
+    for name in ("exponent", "lhs", "rhs", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(mm, name, 0)
+    with pytest.raises(TypeError):
+        MismatchInfo(1, 2)
+    with pytest.raises(TypeError):
+        MismatchInfo(1, 2, 3, 4)
+
+
+def test_rational_alias_names_the_coefficient_types():
+    assert isinstance(3, Rational) and isinstance(Fraction(1, 3), Rational)
+    assert not isinstance(1.5, Rational)
 
 
 def test_verification_report_arguments_and_defaults():

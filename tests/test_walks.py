@@ -1,13 +1,15 @@
-"""The shared spread walk: its table against the smallest-part-first walk it
-replaced, its derived statistics against the per-statistic walk before that,
-its raw table against plain and flag-materializing enumeration, and the
-sizes the held oracle tables walk to."""
+"""The shared spread walk: its table against the one-increment-per-part
+walk it replaced and the smallest-part-first walk before that, its derived
+statistics against the per-statistic walk before both, its raw table against
+plain and flag-materializing enumeration, the sizes the held oracle tables
+walk to, and the oracle's independence from the coefficient kernels."""
 
 import pytest
 
 from overq import enumeration, kernels
 from overq.cli import main
 from overq.enumeration import (
+    ORACLE_KINDS,
     count_p_exact_diff,
     iter_overpartitions,
     iter_partitions,
@@ -133,6 +135,72 @@ def reference_spread_table(n_max, t):
     return acc
 
 
+# -- reference: the former largest-part-first spread walk, kept verbatim -------------
+# It adds 1 per multiplicity of every part, the smallest part included.
+
+
+def reference_largest_part_first_table(n_max, t):
+    """Partition counts by exact spread and number of distinct part values.
+
+    Returns c with c[s][d][n] the number of partitions of n (1 <= n <= n_max)
+    with spread (largest part minus smallest) exactly s and d distinct part
+    values, for 0 <= s <= t.  Row c[s] holds d = 0..min(s + 1, d_max), where
+    d_max is the largest d with d*(d+1)/2 <= n_max: no partition of n_max or
+    less has more distinct values.  Entry n = 0 and row d = 0 are always 0,
+    since the empty partition has no smallest part.
+
+    The walk runs largest part first, in the reverse-lexicographic order of
+    Knuth, TAOCP 7.2.1.4.  For each largest part L it adds values v from
+    L - 1 down to lo = max(1, L - t), each with multiplicity >= 1.  The
+    value added last is the smallest part, so every multiplicity adds 1 to
+    c[L - v][d].  A branch goes deeper only while one more part of size lo
+    still fits in n_max.
+
+    Each partition with spread at most t is visited once and adds 1 to one
+    entry, so any statistic of (spread, distinct values) follows by weighted
+    sums over the rows.
+    """
+    d_max = 0
+    while (d_max + 1) * (d_max + 2) // 2 <= n_max:
+        d_max += 1
+    acc = [
+        [[0] * (n_max + 1) for _ in range(min(s + 1, d_max) + 1)]
+        for s in range(t + 1)
+    ]
+
+    for L in range(1, n_max + 1):
+        lo = L - t if L > t else 1
+        lim = n_max - lo
+
+        def rec(last, total, nd):
+            # Add each value in [lo, last) that fits, largest first; a call
+            # is made only when a part of size lo still fits.
+            nd += 1
+            top = n_max - total
+            if top >= last:
+                top = last - 1
+            for v in range(top, lo - 1, -1):
+                row = acc[L - v][nd]
+                if v > lo:
+                    for tot in range(total + v, n_max + 1, v):
+                        row[tot] += 1
+                        if tot <= lim:
+                            rec(v, tot, nd)
+                else:
+                    for tot in range(total + v, n_max + 1, v):
+                        row[tot] += 1
+
+        # The largest part L appears at least once; smaller values are
+        # optional and strictly decreasing, so each multiset is hit once.
+        row = acc[0][1]
+        deeper = L > lo
+        for tot in range(L, n_max + 1, L):
+            row[tot] += 1
+            if deeper and tot <= lim:
+                rec(L, tot, 1)
+    return acc
+
+
 @pytest.fixture
 def walks(monkeypatch):
     """Record every oracle walk, starting and ending with empty tables."""
@@ -165,6 +233,23 @@ def test_every_statistic_matches_the_per_statistic_walk(walks):
             s = oracle_series(kind, t, 64)
             assert [coeff(s, n) for n in range(1, 65)] == want, (kind, t)
     assert spread_walks(walks) == [(64, 8)]
+
+
+# -- the running-sum walk against the one-increment-per-part walk -------------------
+
+
+@pytest.mark.parametrize(
+    "n_max, t", [(60, 8), (64, 6), (94, 5), (96, 6), (48, 47)])
+def test_walk_table_matches_the_one_increment_per_part_walk(n_max, t):
+    got = kernels.window_diff_counts(n_max, t)
+    assert got == reference_largest_part_first_table(n_max, t)
+
+
+def test_walk_table_matches_the_one_increment_per_part_walk_at_small_sizes():
+    for n_max in range(1, 25):
+        for t in range(n_max + 1):
+            got = kernels.window_diff_counts(n_max, t)
+            assert got == reference_largest_part_first_table(n_max, t), (n_max, t)
 
 
 # -- the largest-part-first walk against the smallest-part-first one ---------------
@@ -260,3 +345,26 @@ def test_ascending_scan(walks):
     for n in range(1, 201):
         assert count_p_exact_diff(n, 0) == enumeration.divisor_count(n)
     assert spread_walks(walks) == [(n, 0) for n in range(1, 201)]
+
+
+# -- independence from the coefficient kernels ------------------------------------
+
+
+def test_oracle_calls_no_coefficient_kernel(walks, monkeypatch):
+    # An oracle that shared a coefficient kernel with the formula side would
+    # not check it.  walks has emptied the held tables, so every kind walks.
+    used = []
+    for name in ("convolve", "invert_unit", "mul_one_minus", "div_one_minus"):
+        def recorded(*args, _kernel=getattr(kernels, name), _name=name):
+            used.append(_name)
+            return _kernel(*args)
+        monkeypatch.setattr(kernels, name, recorded)
+    for kind in ORACLE_KINDS:
+        s = oracle_series(kind, 5, 30)
+        assert (s.lo, s.prec) == (1, 31), kind
+    assert kernels.window_diff_counts(30, 29)
+    assert kernels.all_partition_weighted_counts(30)
+    assert [name for name, _ in walks] == [
+        "window_diff_counts", "all_partition_weighted_counts",
+        "window_diff_counts", "all_partition_weighted_counts"]
+    assert used == []
