@@ -9,8 +9,9 @@ a partition is its largest part minus its smallest.
 
 The spread statistics share one held walk that counts partitions by exact
 spread and number of distinct values; every statistic and every spread
-bound it covers follows by weighted sums over its rows (see _HeldWalk for
-when it walks again).  The overpartition totals hold a walk of their own.
+bound it covers follows by weighted sums over its rows (see
+``kernels.HeldTable`` for when it walks again).  The overpartition totals
+hold a walk of their own.
 :func:`iter_overpartitions` is a second, independent strategy that
 materializes every overline choice and is used to cross-check the weighted
 walks at small sizes.
@@ -18,7 +19,7 @@ walks at small sizes.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 
 from . import kernels
 from .series import QSeries
@@ -55,38 +56,15 @@ def _require_t(t: int) -> None:
         raise ValueError(f"spread bound t must be >= 0, got {t}")
 
 
-class _HeldWalk:
-    """The table of the last walk, reused for every request it covers.
-
-    A walk to size n_hi with spread bound t_hi covers a request (n, t) when
-    n <= n_hi and t <= t_hi.  A request it does not cover replaces it by a
-    walk of exactly (n, t).
-    """
-
-    def __init__(self, walk: Callable[[int, int], list]):
-        self._walk = walk
-        self.clear()
-
-    def clear(self) -> None:
-        self.n_hi = self.t_hi = -1
-        self.table: list = []
-
-    def get(self, n: int, t: int = 0) -> list:
-        if n > self.n_hi or t > self.t_hi:
-            self.table = self._walk(n, t)
-            self.n_hi, self.t_hi = n, t
-        return self.table
-
-
 # The walks are looked up in kernels at each call, so that wrappers put
 # there see them.  c[s][d][n]: partitions of n with spread s and d distinct
 # values.  Every partition of n or less has spread below n, so a request for
 # sizes up to n asks for spread bound at most n, which gives the same
 # counts as any larger bound.
-_SPREADS = _HeldWalk(lambda n, t: kernels.window_diff_counts(n, t))
+_SPREADS = kernels.HeldTable(lambda n, t: kernels.window_diff_counts(n, t))
 # Entry n: overpartitions of n.  This walk visits every spread and takes no
 # bound, so its requests leave t at 0.
-_TOTALS = _HeldWalk(lambda n, _t: kernels.all_partition_weighted_counts(n))
+_TOTALS = kernels.HeldTable(lambda n, _t: kernels.all_partition_weighted_counts(n))
 
 
 def _spread_counts(kind: str, t: int, lo: int, hi: int) -> list[int]:

@@ -20,7 +20,9 @@ the summands over the smallest part m, each from the one before it: they
 serve the direct sums of Theorems 1 and 2, case (2) of the three-case
 split and step (i) of the proof chain.  ``_largest_part_sum`` sums
 q^r/(1-q^r) times a box polynomial over the largest part r: it serves the
-over-q-binomial expansion and case (3).
+over-q-binomial expansion and case (3), which read every box from the held
+over-q-binomial ladder (``qfunctions.over_qbinom_ladder``), so a request
+builds its boxes in one pass however many t and r it covers.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from fractions import Fraction
 from functools import reduce
 
 from .enumeration import divisor_count, oracle_series
-from .qfunctions import PhiSpec, over_qbinom_sum, phi, pochhammer_inf, verify_chu
+from .qfunctions import PhiSpec, over_qbinom_ladder, phi, pochhammer_inf, verify_chu
 from .reports import (
     STATUS_ERROR,
     STATUS_FAIL,
@@ -344,7 +346,7 @@ def check_oqbinom_pbar(t: int, order: int) -> VerificationReport:
     if t < 0:
         raise ValueError(f"oqbinom check needs t >= 0, got {t}")
     prec = order + 1
-    lhs = _largest_part_sum(lambda r: over_qbinom_sum(t, r - 1, prec=prec - r), prec)
+    lhs = _largest_part_sum(lambda r: over_qbinom_ladder(t, r - 1, prec - r), prec)
     return comparison_report(
         IdentityCheck("oqbinom", {"t": t}, order),
         f"largest-part expansion over box polynomials matches to order {order}",
@@ -372,8 +374,8 @@ def check_three_cases(t: int, order: int) -> VerificationReport:
     case1 = _ratio_minus_one(t, prec)
     case2 = add(full, gf_pbar(t - 1, prec).scale(-1)).scale(_HALF)
     case3 = _largest_part_sum(
-        lambda r: add(over_qbinom_sum(t, r, prec=prec - r),
-                      over_qbinom_sum(t - 1, r, prec=prec - r).scale(-1)),
+        lambda r: add(over_qbinom_ladder(t, r, prec - r),
+                      over_qbinom_ladder(t - 1, r, prec - r).scale(-1)),
         prec,
     )
     return comparison_report(

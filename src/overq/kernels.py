@@ -24,6 +24,11 @@ are counted by one running sum per walk step instead of one increment each.
 That sum is written inline and merges prefixes of equal total only for the
 smallest part, so the oracles share no code with the coefficient kernels
 and never become a DP over the product formula they are meant to check.
+
+``HeldTable`` keeps the last table a builder made and hands it to every
+request it covers: the oracle walks and the formula side's
+over-q-binomial ladder each hold one, so a request builds each at most
+once.
 """
 
 from fractions import Fraction
@@ -291,3 +296,29 @@ def all_partition_weighted_counts(n_max):
         # One or more parts of size 1: entry x gains every ones[y], y < x.
         acc[1:] = map(add, acc[1:], accumulate(ones))
     return acc
+
+
+# -- held tables -------------------------------------------------------------------
+
+
+class HeldTable:
+    """The last table a builder made, reused for every request it covers.
+
+    A table built to size n_hi with bound t_hi covers a request (n, t) when
+    n <= n_hi and t <= t_hi.  A request it does not cover replaces it by a
+    table built to exactly (n, t).
+    """
+
+    def __init__(self, build):
+        self._build = build
+        self.clear()
+
+    def clear(self):
+        self.n_hi = self.t_hi = -1
+        self.table = []
+
+    def get(self, n, t=0):
+        if n > self.n_hi or t > self.t_hi:
+            self.table = self._build(n, t)
+            self.n_hi, self.t_hi = n, t
+        return self.table

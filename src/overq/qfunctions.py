@@ -143,6 +143,10 @@ def over_qbinom_sum(m: int, n: int, prec: int | None = None) -> QSeries:
     for 0 <= k <= min(m, n); consecutive terms differ by the exact factor
     q^{k+1} (1-q^{m-k})(1-q^{n-k}) / ((1-q^{m+n-k})(1-q^{k+1})), which is
     how the loop below advances.
+
+    The identity checks read their boxes from the held ladder
+    (:func:`over_qbinom_ladder`); this sum serves ``overq coeff --gf
+    oqbinom`` and the tests that hold the routes against each other.
     """
     _require_box(m, n)
     natural = m * n + 1
@@ -172,32 +176,65 @@ def over_qbinom_sum(m: int, n: int, prec: int | None = None) -> QSeries:
     return _wrap_poly(acc, width, prec)
 
 
-def over_qbinom_rec(m: int, n: int, prec: int | None = None) -> QSeries:
-    """Overpartition q-binomial by its Pascal-style recurrence.
+def _over_ladder(p: int, t: int) -> list:
+    """The over-q-binomials f(i, j) for i <= min(t, p - 1) and j < p:
+    rows[i][j] holds the int coefficients of f(i, j) on [0, p - j).
 
-    f(i, j) = f(i, j-1) + q^j f(i-1, j) + q^j f(i-1, j-1) with
+    f(i, j) = f(i, j-1) + q^j (f(i-1, j) + f(i-1, j-1)) with
     f(i, 0) = f(0, j) = 1: either fewer than j parts are used, or all j
     part slots are filled and lowering every part by one costs q^j and
-    lands in a box one shorter.  The full table up to (m, n) is built per
-    call, so the function stays pure for callers.
+    lands in a box one shorter.  On [0, p - j) the q^j terms need their
+    f(i-1, .) only below p - 2j, so each entry is one copy and two
+    slice-adds.  A box with largest part i adds only sizes >= i, so on
+    these windows every row past p - 1 would repeat row p - 1: the rows
+    stop there.
+    """
+    row = [[1] + [0] * (p - 1 - j) for j in range(p)]
+    rows = [row]
+    for _ in range(min(t, p - 1)):
+        above, row = row, [row[0]]
+        for j in range(1, p):
+            cur = row[j - 1][: p - j]
+            cur[j:] = map(operator.add, map(operator.add, cur[j:], above[j]),
+                          above[j - 1])
+            row.append(cur)
+        rows.append(row)
+    return rows
+
+
+# The ladder of the last read that an earlier one did not cover; the
+# builder is looked up at call time, so a wrapper set on the module sees
+# every build.
+_LADDER = kernels.HeldTable(lambda p, t: _over_ladder(p, t))
+
+
+def over_qbinom_ladder(m: int, n: int, prec: int) -> QSeries:
+    """over_qbinom_sum(m, n, prec), read from the held ladder.
+
+    The read needs the ladder to p = n + prec.  On [0, prec) the box
+    polynomial stops changing once m reaches prec - 1, so m clamps to
+    p - 1 and a huge m costs no more than m = p - 1.  A ladder held from
+    an earlier read serves this one when it reaches both p and the clamped
+    m; otherwise it is rebuilt to exactly those.
     """
     _require_box(m, n)
-    prev = [[1] for _ in range(m + 1)]  # column j = 0
-    for j in range(1, n + 1):
-        cur = [[1]]
-        for i in range(1, m + 1):
-            width = i * j + 1
-            out = prev[i] + [0] * (width - len(prev[i]))
-            above = cur[i - 1]
-            for d, v in enumerate(above):
-                out[j + d] += v
-            diag = prev[i - 1]
-            for d, v in enumerate(diag):
-                out[j + d] += v
-            cur.append(out)
-        prev = cur
-    ints = prev[m]
-    return _wrap_poly(ints, len(ints), prec)
+    if prec < 1:
+        return _wrap_poly([], 0, prec)
+    p = n + prec
+    t = min(m, p - 1)
+    return QSeries._make(0, prec, _LADDER.get(p, t)[t][n][:prec])
+
+
+def over_qbinom_rec(m: int, n: int, prec: int | None = None) -> QSeries:
+    """Overpartition q-binomial by its Pascal-style recurrence: entry
+    f(m, n) of a ladder (see :func:`_over_ladder`) built for this call
+    alone, so the function stays pure for callers."""
+    _require_box(m, n)
+    natural = m * n + 1
+    width = natural if prec is None else max(0, min(prec, natural))
+    if width == 0:
+        return _wrap_poly([], 0, prec)
+    return _wrap_poly(_over_ladder(n + width, m)[-1][n], width, prec)
 
 
 # -- basic hypergeometric series -------------------------------------------------

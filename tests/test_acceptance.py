@@ -38,6 +38,7 @@ from overq.identities import (
 )
 from overq.qfunctions import (
     QMonomial,
+    over_qbinom_ladder,
     over_qbinom_rec,
     over_qbinom_sum,
     pochhammer_inf,
@@ -169,11 +170,13 @@ def test_criterion_05_over_qbinom_routes():
             a = over_qbinom_sum(m, n)
             if a != over_qbinom_rec(m, n):
                 failures.append(("rec", m, n))
+            if a != over_qbinom_ladder(m, n, m * n + 1):
+                failures.append(("ladder", m, n))
             if a != over_qbinom_box_oracle(m, n):
                 failures.append(("box", m, n))
             if a != over_qbinom_sum(n, m):
                 failures.append(("sym", m, n))
-    _report(5, "explicit sum = recurrence = box walk, 0 <= M,N <= 12",
+    _report(5, "explicit sum = recurrence = held ladder = box walk, 0 <= M,N <= 12",
             failures, perf_counter() - t0, 10.0)
 
 

@@ -356,6 +356,59 @@ def test_three_case_split_check():
     assert check_three_cases(2, 30).passed
 
 
+# -- box reads: the held ladder against the explicit sum ---------------------------
+
+
+def _check_reads(t_max, order):
+    """Every (m, n, prec) box read of the oqbinom and cases checks."""
+    prec = order + 1
+    reads = {(t, r - 1, prec - r) for t in range(t_max + 1) for r in range(1, prec)}
+    reads |= {(s, r, prec - r) for t in range(1, t_max + 1) for s in (t, t - 1)
+              for r in range(1, prec)}
+    return reads
+
+
+@pytest.mark.parametrize("order", [60, 120])
+def test_held_ladder_equals_the_explicit_sum_on_every_check_read(monkeypatch, order):
+    # The only checks that read boxes are oqbinom and cases, so these two
+    # families read every box that `verify --check all --t-max 8` reads.
+    seen = {}
+    real = identities.over_qbinom_ladder
+
+    def spy(m, n, prec):
+        seen[m, n, prec] = out = real(m, n, prec)
+        return out
+
+    monkeypatch.setattr(identities, "over_qbinom_ladder", spy)
+    qfunctions._LADDER.clear()
+    for family in ("oqbinom", "cases"):
+        assert all(r.passed for r in run_checks(family, 8, order))
+    qfunctions._LADDER.clear()
+    assert set(seen) == _check_reads(8, order)
+    for (m, n, prec), box in seen.items():
+        _assert_same_int_series(box, qfunctions.over_qbinom_sum(m, n, prec),
+                                (m, n, prec))
+
+
+def test_check_suite_builds_one_ladder_and_no_explicit_sum(monkeypatch, capsys):
+    from overq import cli
+
+    builds, sums = [], []
+    real_build, real_sum = qfunctions._over_ladder, qfunctions.over_qbinom_sum
+    monkeypatch.setattr(qfunctions, "_over_ladder",
+                        lambda p, t: builds.append((p, t)) or real_build(p, t))
+    for module in (qfunctions, cli):
+        monkeypatch.setattr(module, "over_qbinom_sum",
+                            lambda *args: sums.append(args) or real_sum(*args))
+    qfunctions._LADDER.clear()
+    assert cli.main(["verify", "--check", "all"]) == 0
+    qfunctions._LADDER.clear()
+    assert "0 fail, 0 error" in capsys.readouterr().out
+    # cases runs first, at its largest t: its ladder covers every later read.
+    assert builds == [(61, 8)]
+    assert sums == []
+
+
 def test_corrupt_hook_reports_first_mismatch():
     report = check_th1(2, 20, _corrupt=True)
     assert report.status == "fail"
@@ -446,6 +499,16 @@ def _bump_pbar_at_2(real):
     return bumped
 
 
+def _bump_box(box):
+    """Wrap the box read so that the polynomial of one box gains q^1."""
+    def wrap(real):
+        def read(m, n, prec):
+            s = real(m, n, prec)
+            return s + monomial(1, 1, prec) if (m, n) == box else s
+        return read
+    return wrap
+
+
 def _chu():
     return qfunctions.verify_chu(QMonomial(-1, 0), 2, QMonomial(-1, 1), 13)
 
@@ -481,6 +544,10 @@ _PINNED = [
     ("oqbinom-closed", lambda: check_oqbinom_pbar(2, 12),
      ((identities, "gf_pbar", _bump),), (5, "20", "21"),
      "largest-part expansion deviates from the closed form"),
+    # The box (2, 3) serves r = 4: 2 q^4/(1-q^4) * q moves q^5 by 2.
+    ("oqbinom-box", lambda: check_oqbinom_pbar(2, 12),
+     ((identities, "over_qbinom_ladder", _bump_box((2, 3))),), (5, "22", "20"),
+     "largest-part expansion deviates from the closed form"),
     ("relation", lambda: check_pbar_g_relation(2, 12), (), None,
      "adjacent spread bounds recombine to order 12"),
     ("relation-g", lambda: check_pbar_g_relation(2, 12),
@@ -494,6 +561,10 @@ _PINNED = [
     ("cases-two", lambda: check_three_cases(2, 12),
      ((identities, "gf_pbar", _bump_pbar_at_2),), (5, "3", "2"),
      "case (2) closed form deviates from its direct sum"),
+    # The box (1, 4) is the t - 1 side of r = 4: case (3) loses q^5.
+    ("cases-box", lambda: check_three_cases(2, 12),
+     ((identities, "over_qbinom_ladder", _bump_box((1, 4))),), (5, "19", "20"),
+     "three cases fail to sum to the full series"),
     ("proofchain", lambda: proof_chain_theorem1(2, 12), (), None,
      "all five expressions agree pairwise to order 12"),
     ("proofchain-1", lambda: proof_chain_theorem1(2, 12, perturb_step=1), (),

@@ -1,4 +1,5 @@
-"""Pochhammer symbols, q-binomials (three routes), and the phi evaluator."""
+"""Pochhammer symbols, q-binomials (the over q-binomial by its explicit sum,
+its ladder and the box walk), and the phi evaluator."""
 
 import operator
 from fractions import Fraction
@@ -6,15 +7,17 @@ from functools import lru_cache
 
 import pytest
 
-from overq import kernels
+from overq import kernels, qfunctions
 from overq.enumeration import iter_partitions, over_qbinom_box_oracle
 from overq.identities import gf_G
 from overq.qfunctions import (
+    _over_ladder,
     _wrap_poly,
     NonconvergentPhiError,
     NonconvergentProductError,
     PhiDivisionError,
     PhiSpec,
+    over_qbinom_ladder,
     over_qbinom_rec,
     over_qbinom_sum,
     phi,
@@ -173,6 +176,66 @@ def test_over_qbinom_prec_keyword():
     padded = over_qbinom_sum(2, 2, prec=20)
     assert padded.prec == 20 and coeff(padded, 10) == 0
     assert over_qbinom_rec(2, 2, prec=20) == padded
+
+
+# -- the held ladder ------------------------------------------------------------------
+
+
+@pytest.fixture
+def ladder_builds(monkeypatch):
+    """Record every ladder build, starting and ending with no held ladder."""
+    builds = []
+    monkeypatch.setattr(qfunctions, "_over_ladder",
+                        lambda p, t: builds.append((p, t)) or _over_ladder(p, t))
+    qfunctions._LADDER.clear()
+    yield builds
+    qfunctions._LADDER.clear()
+
+
+def test_held_ladder_serves_every_smaller_request_as_a_fresh_build(ladder_builds):
+    big_p, big_t = 20, 5
+    over_qbinom_ladder(big_t, 0, big_p)
+    for p in range(1, big_p + 1):
+        for t in range(big_t + 1):
+            for i, row in enumerate(_over_ladder(p, t)):
+                for j, col in enumerate(row):
+                    got = over_qbinom_ladder(i, j, p - j)
+                    assert (got.lo, got.prec) == (0, p - j), (p, t, i, j)
+                    assert got.coeffs == tuple(col), (p, t, i, j)
+    assert ladder_builds == [(big_p, big_t)]
+
+
+def test_a_larger_request_rebuilds_the_held_ladder(ladder_builds):
+    reads = [(3, 0, 10), (2, 4, 6), (3, 1, 10), (4, 0, 5), (1, 1, 3)]
+    for m, n, prec in reads:
+        assert over_qbinom_ladder(m, n, prec) == over_qbinom_sum(m, n, prec)
+    # (2, 4, 6) needs p = 10 and m = 2: covered.  (3, 1, 10) needs p = 11,
+    # (4, 0, 5) needs m = 4; each rebuilds to exactly what it needs, and
+    # (1, 1, 3) is covered by the last.
+    assert ladder_builds == [(10, 3), (11, 3), (5, 4)]
+
+
+def test_a_huge_box_width_reads_row_p_minus_one(ladder_builds):
+    # On [0, prec) a box polynomial stops changing once m reaches prec - 1,
+    # so m clamps to p - 1 = n + prec - 1 and the ladder holds at most p rows.
+    prec = 12
+    for n in range(5):
+        p = n + prec
+        huge = over_qbinom_ladder(10**6, n, prec)
+        assert len(qfunctions._LADDER.table) <= p
+        assert huge == over_qbinom_ladder(p - 1, n, prec), n
+        assert huge == over_qbinom_sum(10**6, n, prec), n
+    assert ladder_builds == [(p, p - 1) for p in range(prec, prec + 5)]
+    # The builder caps its rows too, so the pure route takes a huge m.
+    assert len(_over_ladder(6, 10**6)) == 6
+    assert over_qbinom_rec(10**6, 3, prec) == over_qbinom_sum(10**6, 3, prec)
+
+
+def test_held_ladder_reads_an_empty_window_like_the_sum():
+    for prec in (0, -3):
+        assert over_qbinom_ladder(2, 2, prec) == over_qbinom_sum(2, 2, prec)
+    with pytest.raises(ValueError):
+        over_qbinom_ladder(-1, 2, 5)
 
 
 # -- references: the q-binomial builders before their loops were bounded -----------
