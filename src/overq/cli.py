@@ -4,9 +4,17 @@ Exit codes: 0 success (and, where applicable, all comparisons pass),
 1 verification mismatch, 2 usage or domain error.  Tables and reports go
 to standard out, diagnostics to standard error.
 
+One table, ``_KINDS``, gives each family ``table`` prints its oracle kind,
+whether it takes t, and its closed form (t, prec); ``coeff`` reuses those
+closed forms.  Each is a lambda that looks its builder up in this module
+when it runs, as ``identities.CHECKS`` does, so a wrapper set on this
+module (the perfbench tracer) sees every call; a stored function would not.
+
 Every request is a fresh process, so start-up counts: ``json`` is imported
-only where a JSON document is written, and nothing this module imports
-pulls in ``dataclasses`` or ``inspect`` (``tests/test_startup.py``).
+only where a request needs it (a JSON document, or the report order that
+``VerificationReport.sort_key`` builds for every ``verify``), and nothing
+this module imports pulls in ``dataclasses`` or ``inspect``
+(``tests/test_startup.py``).
 """
 
 from __future__ import annotations
@@ -30,29 +38,31 @@ from .identities import (
 from .qfunctions import over_qbinom_sum
 from .series import QSeries, Rational, coeff
 
-TABLE_KINDS = ("pbar", "g", "p_bounded", "p_exact", "d", "overline_total")
-COEFF_GFS = ("th1", "th2", "bk", "abr", "overline_total", "oqbinom")
-
-_ORACLE_KIND = {
-    "pbar": "pbar_t",
-    "g": "g_t",
-    "p_bounded": "p_t",
-    "p_exact": "p_exact_t",
-    "d": "d",
-    "overline_total": "opbar_total",
+# table kind -> (oracle kind, takes t, closed form (t, prec)).
+_KINDS = {
+    "pbar": ("pbar_t", True, lambda t, prec: gf_pbar(t, prec)),
+    "g": ("g_t", True, lambda t, prec: gf_G(t, prec)),
+    "p_bounded": ("p_t", True, lambda t, prec: gf_bk(t, prec)),
+    "p_exact": ("p_exact_t", True,
+                lambda t, prec: (gf_p_exact_low if t < 2 else gf_abr)(t, prec)),
+    "d": ("d", False, lambda t, prec: lambert_divisor(prec)),
+    "overline_total": ("opbar_total", False, lambda t, prec: gf_overline_total(prec)),
 }
-_T_FREE = ("d", "overline_total")
+# coeff --gf -> closed form (t, prec); oqbinom (box M x N) is handled apart.
+_COEFF_FORMS = {
+    "th1": _KINDS["g"][2],
+    "th2": _KINDS["pbar"][2],
+    "bk": _KINDS["p_bounded"][2],
+    "abr": lambda t, prec: gf_abr(t, prec),
+    "overline_total": _KINDS["overline_total"][2],
+}
+TABLE_KINDS = tuple(_KINDS)
+COEFF_GFS = (*_COEFF_FORMS, "oqbinom")
 
 
 def _usage_error(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
-
-
-def _fmt(value) -> str:
-    if isinstance(value, Fraction):
-        return str(value.numerator) if value.denominator == 1 else str(value)
-    return str(value)
 
 
 def _json_value(value):
@@ -61,95 +71,55 @@ def _json_value(value):
     return value
 
 
+def _csv_value(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return format_coeff(value)[0]
+
+
 # -- table -----------------------------------------------------------------------
-
-
-def _formula_series(kind: str, t: int | None, prec: int) -> QSeries:
-    if kind == "pbar":
-        return gf_pbar(t, prec)
-    if kind == "g":
-        return gf_G(t, prec)
-    if kind == "p_bounded":
-        return gf_bk(t, prec)
-    if kind == "p_exact":
-        return gf_p_exact_low(t, prec) if t < 2 else gf_abr(t, prec)
-    if kind == "d":
-        return lambert_divisor(prec)
-    return gf_overline_total(prec)
-
-
-def _formula_values(kind: str, t: int | None, n_max: int) -> list[Rational]:
-    s = _formula_series(kind, t, n_max + 1)
-    return [coeff(s, n) for n in range(1, n_max + 1)]
-
-
-def _oracle_values(kind: str, t: int | None, n_max: int) -> list[int]:
-    s = oracle_series(_ORACLE_KIND[kind], t, n_max)
-    return [int(coeff(s, n)) for n in range(1, n_max + 1)]
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
     if args.n_max < 1:
         return _usage_error(f"--n-max must be >= 1, got {args.n_max}")
-    t = args.t
-    if args.kind in _T_FREE:
-        t = None
-    elif t is None:
+    oracle_kind, takes_t, closed_form = _KINDS[args.kind]
+    t = args.t if takes_t else None
+    if takes_t and t is None:
         return _usage_error(f"--t is required for kind {args.kind!r}")
-    elif t < 0:
+    if takes_t and t < 0:
         return _usage_error(f"--t must be >= 0, got {t}")
 
-    formula = oracle = None
+    ns = range(1, args.n_max + 1)
+    columns = {}
     try:
         if args.source in ("formula", "both"):
-            formula = _formula_values(args.kind, t, args.n_max)
+            s = closed_form(t, args.n_max + 1)
+            columns["formula"] = [coeff(s, n) for n in ns]
         if args.source in ("oracle", "both"):
-            oracle = _oracle_values(args.kind, t, args.n_max)
+            s = oracle_series(oracle_kind, t, args.n_max)
+            columns["oracle"] = [coeff(s, n) for n in ns]
     except ValueError as exc:
         return _usage_error(str(exc))
-
-    ns = range(1, args.n_max + 1)
-    mismatch = False
-    if args.source == "both":
-        rows = []
-        for i, n in enumerate(ns):
-            match = formula[i] == oracle[i]
-            mismatch = mismatch or not match
-            rows.append((n, formula[i], oracle[i], match))
+    if len(columns) == 2:
+        columns["match"] = [f == o for f, o in zip(*columns.values())]
     else:
-        values = formula if formula is not None else oracle
-        rows = [(n, values[i]) for i, n in enumerate(ns)]
+        columns = {"value": columns.popitem()[1]}
+    rows = [(n, dict(zip(columns, cells))) for n, *cells in zip(ns, *columns.values())]
 
     if args.format == "csv":
-        if args.source == "both":
-            lines = ["n,formula,oracle,match"]
-            lines += [
-                f"{n},{_fmt(f)},{_fmt(o)},{'true' if m else 'false'}"
-                for n, f, o, m in rows
-            ]
-        else:
-            lines = ["n,value"] + [f"{n},{_fmt(v)}" for n, v in rows]
+        lines = [",".join(["n", *columns])]
+        lines += [",".join([str(n), *map(_csv_value, row.values())]) for n, row in rows]
         print("\n".join(lines))
     else:
         import json
 
-        if args.source == "both":
-            out_rows = [
-                {"n": n, "formula": _json_value(f), "oracle": _json_value(o),
-                 "match": m}
-                for n, f, o, m in rows
-            ]
-        else:
-            out_rows = [{"n": n, "value": _json_value(v)} for n, v in rows]
-        doc = {
-            "kind": args.kind,
-            "t": t,
-            "n_max": args.n_max,
-            "source": args.source,
-            "rows": out_rows,
-        }
+        out_rows = [{"n": n, **{k: _json_value(v) for k, v in row.items()}}
+                    for n, row in rows]
+        doc = {"kind": args.kind, "t": t, "n_max": args.n_max,
+               "source": args.source, "rows": out_rows}
         print(json.dumps(doc, indent=2))
-    return 1 if mismatch else 0
+    return 0 if all(columns.get("match", ())) else 1
 
 
 # -- verify ----------------------------------------------------------------------
@@ -194,22 +164,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _coeff_series(args: argparse.Namespace, prec: int) -> QSeries:
-    gf = args.gf
-    if gf == "overline_total":
-        return gf_overline_total(prec)
-    if gf == "oqbinom":
+    if args.gf == "oqbinom":
         if args.M is None or args.N is None:
             raise ValueError("--M and --N are required for --gf oqbinom")
         return over_qbinom_sum(args.M, args.N, prec=prec)
-    if args.t is None:
-        raise ValueError(f"--t is required for --gf {gf}")
-    if gf == "th1":
-        return gf_G(args.t, prec)
-    if gf == "th2":
-        return gf_pbar(args.t, prec)
-    if gf == "bk":
-        return gf_bk(args.t, prec)
-    return gf_abr(args.t, prec)
+    if args.t is None and args.gf != "overline_total":
+        raise ValueError(f"--t is required for --gf {args.gf}")
+    return _COEFF_FORMS[args.gf](args.t, prec)
 
 
 def format_coeff(value: Rational) -> tuple[str, bool]:

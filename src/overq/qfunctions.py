@@ -225,18 +225,6 @@ def over_qbinom_ladder(m: int, n: int, prec: int) -> QSeries:
     return QSeries._make(0, prec, _LADDER.get(p, t)[t][n][:prec])
 
 
-def over_qbinom_rec(m: int, n: int, prec: int | None = None) -> QSeries:
-    """Overpartition q-binomial by its Pascal-style recurrence: entry
-    f(m, n) of a ladder (see :func:`_over_ladder`) built for this call
-    alone, so the function stays pure for callers."""
-    _require_box(m, n)
-    natural = m * n + 1
-    width = natural if prec is None else max(0, min(prec, natural))
-    if width == 0:
-        return _wrap_poly([], 0, prec)
-    return _wrap_poly(_over_ladder(n + width, m)[-1][n], width, prec)
-
-
 # -- basic hypergeometric series -------------------------------------------------
 
 

@@ -113,9 +113,6 @@ class QMonomial:
     def __truediv__(self, other: "QMonomial") -> "QMonomial":
         return QMonomial(_div(self.coeff, other.coeff), self.exp - other.exp)
 
-    def to_series(self, prec: int) -> "QSeries":
-        return monomial(self.coeff, self.exp, prec)
-
     def __str__(self):
         return _term_str(self.coeff, self.exp) or "0"
 

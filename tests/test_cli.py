@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
+import overq.cli as cli
 from overq.cli import format_coeff, main
+from overq.series import monomial
 
 # Child processes import overq from this checkout's src/, as the tests do.
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -145,6 +147,46 @@ def test_table_oracle_allows_t_zero_for_g(capsys):
     )
     assert code == 0
     assert out == "n,value\n1,1\n2,2\n3,2\n4,3\n"
+
+
+def test_table_both_exits_one_on_a_mismatch(capsys, monkeypatch):
+    real = cli.gf_pbar
+    monkeypatch.setattr(cli, "gf_pbar",
+                        lambda t, prec: real(t, prec) + monomial(1, 2, prec))
+    argv = ("table", "--kind", "pbar", "--t", "2", "--n-max", "3", "--source", "both")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (1, "")
+    assert out == "n,formula,oracle,match\n1,2,2,true\n2,5,4,false\n3,8,8,true\n"
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 1
+    assert json.loads(out)["rows"][1] == {"n": 2, "formula": 5, "oracle": 4,
+                                          "match": False}
+
+
+# The names the perfbench tracer swaps on the cli module.
+CLI_BUILDERS = ("gf_pbar", "gf_G", "gf_bk", "gf_abr", "gf_p_exact_low",
+                "lambert_divisor", "gf_overline_total", "over_qbinom_sum",
+                "oracle_series")
+
+
+def test_every_builder_is_looked_up_on_the_module_when_it_runs(capsys, monkeypatch):
+    calls = set()
+
+    def spy(name):
+        real = getattr(cli, name)
+        return lambda *a, **k: calls.add(name) or real(*a, **k)
+
+    for name in CLI_BUILDERS:
+        monkeypatch.setattr(cli, name, spy(name))
+    for kind, t in (("pbar", "2"), ("g", "2"), ("p_bounded", "2"), ("p_exact", "1"),
+                    ("p_exact", "3"), ("d", "0"), ("overline_total", "0")):
+        assert run_cli(capsys, "table", "--kind", kind, "--t", t, "--n-max", "4",
+                       "--source", "both")[0] == 0
+    for gf in ("th1", "th2", "bk", "abr", "overline_total"):
+        assert run_cli(capsys, "coeff", "--gf", gf, "--t", "3", "--n", "4")[0] == 0
+    assert run_cli(capsys, "coeff", "--gf", "oqbinom", "--M", "2", "--N", "2",
+                   "--n", "2")[0] == 0
+    assert calls == set(CLI_BUILDERS)
 
 
 # -- verify ------------------------------------------------------------------------

@@ -29,6 +29,25 @@ REQUESTS = [
       for gf in ("bk", "abr", "th1", "th2") for n in (0, 1, 5, 12)],
     *[["coeff", "--gf", "oqbinom", "--M", str(m), "--N", str(n), "--n", str(e)]
       for m, n in ((3, 2), (4, 4)) for e in (0, 3, 7)],
+    # Single-source tables, the t-free kinds with and without --t, and every
+    # exit-2 path of table and coeff that argparse itself accepts.
+    *[["table", "--kind", kind, "--t", "2", "--n-max", "9", "--source", src,
+       "--format", fmt]
+      for kind in ("pbar", "p_exact") for src in ("formula", "oracle")
+      for fmt in ("csv", "json")],
+    *[["table", "--kind", kind, *t, "--n-max", "9", "--format", fmt]
+      for kind in ("d", "overline_total") for t in ([], ["--t", "4"])
+      for fmt in ("csv", "json")],
+    ["table", "--kind", "pbar", "--t", "2", "--n-max", "0"],
+    ["table", "--kind", "g", "--n-max", "5"],
+    ["table", "--kind", "p_bounded", "--t", "-1", "--n-max", "5"],
+    ["table", "--kind", "g", "--t", "0", "--n-max", "5"],
+    ["coeff", "--gf", "th1", "--n", "4"],
+    ["coeff", "--gf", "abr", "--t", "1", "--n", "4"],
+    ["coeff", "--gf", "bk", "--t", "2", "--n", "-1"],
+    ["coeff", "--gf", "oqbinom", "--M", "3", "--n", "2"],
+    ["coeff", "--gf", "oqbinom", "--M", "-1", "--N", "2", "--n", "2"],
+    *[["coeff", "--gf", "overline_total", "--n", str(n)] for n in (0, 1, 12)],
 ]
 
 

@@ -18,7 +18,6 @@ from overq.qfunctions import (
     PhiDivisionError,
     PhiSpec,
     over_qbinom_ladder,
-    over_qbinom_rec,
     over_qbinom_sum,
     phi,
     pochhammer,
@@ -133,16 +132,17 @@ def test_over_qbinom_sum_small_values():
 
 
 def test_over_qbinom_rec_small_values():
-    assert ints(over_qbinom_rec(1, 1)) == [1, 2]
-    assert ints(over_qbinom_rec(3, 0)) == [1]
-    assert ints(over_qbinom_rec(2, 2)) == [1, 2, 4, 4, 2]
+    # The Pascal-style recurrence, read from the held ladder.
+    assert ints(over_qbinom_ladder(1, 1, 2)) == [1, 2]
+    assert ints(over_qbinom_ladder(3, 0, 1)) == [1]
+    assert ints(over_qbinom_ladder(2, 2, 5)) == [1, 2, 4, 4, 2]
 
 
 def test_over_qbinom_three_routes_agree():
     for m in range(9):
         for n in range(9):
             a = over_qbinom_sum(m, n)
-            b = over_qbinom_rec(m, n)
+            b = over_qbinom_ladder(m, n, m * n + 1)
             c = over_qbinom_box_oracle(m, n)
             assert a == b == c, (m, n)
 
@@ -175,7 +175,7 @@ def test_over_qbinom_prec_keyword():
     assert over_qbinom_sum(2, 2, prec=3).prec == 3
     padded = over_qbinom_sum(2, 2, prec=20)
     assert padded.prec == 20 and coeff(padded, 10) == 0
-    assert over_qbinom_rec(2, 2, prec=20) == padded
+    assert over_qbinom_ladder(2, 2, 20) == padded
 
 
 # -- the held ladder ------------------------------------------------------------------
@@ -226,9 +226,10 @@ def test_a_huge_box_width_reads_row_p_minus_one(ladder_builds):
         assert huge == over_qbinom_ladder(p - 1, n, prec), n
         assert huge == over_qbinom_sum(10**6, n, prec), n
     assert ladder_builds == [(p, p - 1) for p in range(prec, prec + 5)]
-    # The builder caps its rows too, so the pure route takes a huge m.
+    # The builder caps its rows too, so a ladder of its own takes a huge m.
     assert len(_over_ladder(6, 10**6)) == 6
-    assert over_qbinom_rec(10**6, 3, prec) == over_qbinom_sum(10**6, 3, prec)
+    assert (tuple(_over_ladder(3 + prec, 10**6)[-1][3])
+            == over_qbinom_sum(10**6, 3, prec).coeffs)
 
 
 def test_held_ladder_reads_an_empty_window_like_the_sum():
