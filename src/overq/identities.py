@@ -21,18 +21,25 @@ serve the direct sums of Theorems 1 and 2, case (2) of the three-case
 split and step (i) of the proof chain.  ``_largest_part_sum`` sums
 q^r/(1-q^r) times a box polynomial over the largest part r: it serves the
 over-q-binomial expansion and case (3), which read every box from the held
-over-q-binomial ladder (``qfunctions.over_qbinom_ladder``), so a request
+over-q-binomial ladder (``qfunctions.over_qbinom_ints``), so a request
 builds its boxes in one pass however many t and r it covers.
+
+The part sums, ``gf_pbar`` and the factor products run on plain int
+lists: each summand is one list, each step of a product one
+``kernels.one_minus_chain`` call, and every summand is added in place into
+one list (``_sum_from``) that is wrapped as a QSeries once, at the end.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+import operator
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
-from functools import reduce
+from itertools import repeat
 
+from . import kernels
 from .enumeration import divisor_count, oracle_series
-from .qfunctions import PhiSpec, over_qbinom_ladder, phi, pochhammer_inf, verify_chu
+from .qfunctions import PhiSpec, over_qbinom_ints, phi, pochhammer_inf, verify_chu
 from .reports import (
     STATUS_ERROR,
     STATUS_FAIL,
@@ -46,13 +53,14 @@ from .series import (
     QMonomial,
     QSeries,
     add,
+    div,
     div_one_minus,
-    invert,
+    geometric,
     monomial,
     mul,
     mul_one_minus,
     one,
-    zero,
+    one_minus_product,
 )
 
 _HALF = Fraction(1, 2)
@@ -76,11 +84,18 @@ def lambert_divisor(prec: int) -> QSeries:
     return QSeries._make(1, prec, coeffs)
 
 
+def _ratio_factors(lo: int, hi: int) -> list:
+    """prod_{k=lo}^{hi} (1 + q^k)/(1 - q^k) as one-minus factors (g, k, e)."""
+    return [f for k in range(lo, hi + 1) for f in ((-1, k, 1), (1, k, -1))]
+
+
 def _times_ratio(s: QSeries, lo: int, hi: int) -> QSeries:
-    """s * prod_{k=lo}^{hi} (1 + q^k)/(1 - q^k); s itself when hi < lo."""
-    for k in range(lo, hi + 1):
-        s = div_one_minus(mul_one_minus(s, -1, k), 1, k)
-    return s
+    """s * prod_{k=lo}^{hi} (1 + q^k)/(1 - q^k); s itself when hi < lo.
+
+    Factors with k at or beyond the window width are 1 on it, so k stops
+    there and a huge hi costs no more than the width.
+    """
+    return one_minus_product(s, _ratio_factors(lo, min(hi, s.prec - s.lo - 1)))
 
 
 def _ratio_minus_one(t: int, prec: int) -> QSeries:
@@ -108,47 +123,68 @@ def gf_pbar(t: int, prec: int) -> QSeries:
     """
     if t < 0:
         raise ValueError(f"gf_pbar needs t >= 0, got {t}")
-    acc = lambert_divisor(prec)
-    minus_one = one(prec).scale(-1)
-    ratio = one(prec)  # (-q;q)_n/(q;q)_n, extended by one factor per n
+    divisors = lambert_divisor(prec)
+    # (-q;q)_n/(q;q)_n on [0, prec), extended by one factor per n; its
+    # constant term stays 1, so [0, *ratio[1:]] is the ratio minus 1.
+    ratio = list(one(prec).coeffs)
+    if t == 0:
+        return divisors.scale(2)
+    acc = [0, *divisors.coeffs]
     cap = min(t, prec - 1)
     for n in range(1, cap + 1):
-        ratio = _times_ratio(ratio, n, n)
-        term = div_one_minus(add(ratio, minus_one), 1, n)
-        acc = add(acc, term.scale(-1 if n % 2 else 1))
+        ratio = kernels.one_minus_chain(ratio, ((-1, n, 1), (1, n, -1)))
+        term = kernels.one_minus_chain([0, *ratio[1:]], ((1, n, -1),))
+        acc[:] = map(operator.sub if n % 2 else operator.add, acc, term)
     if t > cap:
         # Every factor with n >= prec is 1 on the window, so each term
         # n = cap+1..t is (-1)^n (R - 1) with R the last ratio.  The
         # alternating tail cancels in pairs: it leaves (-1)^t (R - 1) when
         # its length is odd, and nothing (on the same window) when even.
-        sign = (-1 if t % 2 else 1) if (t - cap) % 2 else 0
-        acc = add(acc, add(ratio, minus_one).scale(sign))
-    return acc.scale(2 if t % 2 == 0 else -2)
+        if (t - cap) % 2:
+            acc[1:] = map(operator.sub if t % 2 else operator.add, acc[1:], ratio[1:])
+    scale = 2 if t % 2 == 0 else -2
+    return QSeries._make(0, prec, map(operator.mul, repeat(scale), acc))
 
 
-def _smallest_part_terms(t: int, hi: int, prec: int) -> Iterator[QSeries]:
-    """Yield S_m on the window [m, prec), for m = 1..prec-1, where
+def _sum_from(terms: Iterable[tuple[int, list]], prec: int) -> QSeries:
+    """sum q^v * c over the (v, c) in terms, on the window of zero(prec).
+
+    Each c holds the int coefficients of q^0 .. at least q^(prec-v-1); all
+    are added into one list.
+    """
+    acc = [0] * max(prec, 0)
+    for v, c in terms:
+        acc[v:] = map(operator.add, acc[v:], c)
+    return QSeries._make(min(0, prec), prec, acc)
+
+
+def _smallest_part_terms(t: int, hi: int, prec: int) -> Iterator[list]:
+    """Yield the int coefficients of S_m on [m, prec), m = 1..prec-1, where
 
         S_m = 2 q^m / prod_{j=m}^{m+t} (1-q^j) * prod_{j=m+1}^{m+hi} (1+q^j)
 
     with hi = t for gf_pbar and hi = t - 1 for gf_G.  Each S_m is S_{m-1}
-    times q (1-q^{m-1}) (1+q^{m+hi}) / ((1-q^{m+t}) (1+q^m)).  S_m has
-    valuation exactly m (checked; a RuntimeError names m if not).
+    times q (1-q^{m-1}) (1+q^{m+hi}) / ((1-q^{m+t}) (1+q^m)): one chain on
+    S_{m-1}'s list, then the shift by q drops its last entry (a one-minus
+    factor changes no entry from the ones after it).  Each yielded list is
+    new.  S_m has valuation exactly m (checked; a RuntimeError names m if
+    not).
     """
     if prec <= 1:
         return
-    s = _times_ratio(div_one_minus(monomial(2, 1, prec), 1, 1), 2, 1 + hi)
-    for j in range(2 + hi, 2 + t):
-        s = div_one_minus(s, 1, j)
+    top = prec - 2  # the last k below the width of S_1's window [1, prec)
+    first = [(1, 1, -1), *_ratio_factors(2, min(1 + hi, top))]
+    first += [(1, j, -1) for j in range(2 + hi, min(1 + t, top) + 1)]
+    s = kernels.one_minus_chain([2] + [0] * top, first)
     for m in range(1, prec):
         if m > 1:
-            s = s.times_monomial(1, 1).truncate(prec)
-            s = div_one_minus(mul_one_minus(s, 1, m - 1), 1, m + t)
-            s = div_one_minus(mul_one_minus(s, -1, m + hi), -1, m)
-        if s.valuation() != m:
-            raise RuntimeError(
-                f"summand m={m} has valuation {s.valuation()}, expected {m}"
+            s = kernels.one_minus_chain(
+                s, ((1, m - 1, 1), (1, m + t, -1), (-1, m + hi, 1), (-1, m, -1))
             )
+            del s[-1]
+        if not s[0]:
+            v = next((m + i for i, c in enumerate(s) if c), None)
+            raise RuntimeError(f"summand m={m} has valuation {v}, expected {m}")
         yield s
 
 
@@ -162,7 +198,7 @@ def gf_pbar_direct(t: int, prec: int) -> QSeries:
     """
     if t < 0:
         raise ValueError(f"gf_pbar_direct needs t >= 0, got {t}")
-    return reduce(add, _smallest_part_terms(t, t, prec), zero(prec))
+    return _sum_from(enumerate(_smallest_part_terms(t, t, prec), 1), prec)
 
 
 def gf_g_direct(t: int, prec: int) -> QSeries:
@@ -171,27 +207,30 @@ def gf_g_direct(t: int, prec: int) -> QSeries:
     (1+q^{m+t}) overline choice."""
     if t < 1:
         raise ValueError(f"gf_g_direct needs t >= 1, got {t}")
-    return reduce(add, _smallest_part_terms(t, t - 1, prec), zero(prec))
+    return _sum_from(enumerate(_smallest_part_terms(t, t - 1, prec), 1), prec)
 
 
 def _case_two_direct(t: int, prec: int) -> QSeries:
     """Case (2) of the three-case split as a direct sum: q^{m+t} G_m, with
     G_m the gf_g_direct summands, over the m with 2m + t < prec."""
-    acc = zero(prec)
-    for m, g_m in enumerate(_smallest_part_terms(t, t - 1, prec), 1):
-        if 2 * m + t >= prec:
-            break
-        acc = add(acc, g_m.times_monomial(1, m + t))
-    return acc
+
+    def terms():
+        for m, g_m in enumerate(_smallest_part_terms(t, t - 1, prec), 1):
+            if 2 * m + t >= prec:
+                return
+            yield 2 * m + t, g_m
+
+    return _sum_from(terms(), prec)
 
 
-def _largest_part_sum(poly: Callable[[int], QSeries], prec: int) -> QSeries:
-    """sum_{r=1}^{prec-1} q^r/(1-q^r) * poly(r), with poly(r) known to
-    O(q^{prec-r})."""
-    return reduce(
-        add,
-        (div_one_minus(poly(r).times_monomial(1, r), 1, r) for r in range(1, prec)),
-        zero(prec),
+def _largest_part_sum(poly: Callable[[int], list], prec: int) -> QSeries:
+    """sum_{r=1}^{prec-1} q^r/(1-q^r) * poly(r), with poly(r) the int
+    coefficients of a series on [0, prec - r).  The factor 1/(1-q^r) is 1
+    on that window once 2r >= prec."""
+    return _sum_from(
+        ((r, kernels.div_one_minus(poly(r), 1, r) if 2 * r < prec else poly(r))
+         for r in range(1, prec)),
+        prec,
     )
 
 
@@ -200,12 +239,11 @@ def gf_bk(t: int, prec: int) -> QSeries:
     at most t."""
     if t < 1:
         raise ValueError(f"gf_bk needs t >= 1, got {t}")
-    s = one(prec)
-    # 1/(1 - q^k) with k >= prec is 1 on the window [0, prec).
-    for k in range(1, min(t, prec - 1) + 1):
-        s = div_one_minus(s, 1, k)
-    s = add(s, one(prec).scale(-1))
-    return div_one_minus(s, 1, t)
+    # 1/((q;q)_t (1 - q^t)) - 1/(1 - q^t).  1/(1 - q^k) with k >= prec is
+    # 1 on the window [0, prec).
+    divisors = [(1, k, -1) for k in range(1, min(t, prec - 1) + 1)]
+    s = one_minus_product(one(prec), [*divisors, (1, t, -1)])
+    return add(s, geometric(t, prec).scale(-1))
 
 
 def gf_abr(t: int, prec: int) -> QSeries:
@@ -253,7 +291,7 @@ def gf_overline_total(prec: int) -> QSeries:
     """All overpartitions: (-q;q)_oo / (q;q)_oo."""
     num = pochhammer_inf(QMonomial(-1, 1), prec)
     den = pochhammer_inf(QMonomial(1, 1), prec)
-    return mul(num, invert(den))
+    return div(num, den)
 
 
 # -- checks ----------------------------------------------------------------------
@@ -346,7 +384,7 @@ def check_oqbinom_pbar(t: int, order: int) -> VerificationReport:
     if t < 0:
         raise ValueError(f"oqbinom check needs t >= 0, got {t}")
     prec = order + 1
-    lhs = _largest_part_sum(lambda r: over_qbinom_ladder(t, r - 1, prec - r), prec)
+    lhs = _largest_part_sum(lambda r: over_qbinom_ints(t, r - 1, prec - r), prec)
     return comparison_report(
         IdentityCheck("oqbinom", {"t": t}, order),
         f"largest-part expansion over box polynomials matches to order {order}",
@@ -374,8 +412,8 @@ def check_three_cases(t: int, order: int) -> VerificationReport:
     case1 = _ratio_minus_one(t, prec)
     case2 = add(full, gf_pbar(t - 1, prec).scale(-1)).scale(_HALF)
     case3 = _largest_part_sum(
-        lambda r: add(over_qbinom_ladder(t, r, prec - r),
-                      over_qbinom_ladder(t - 1, r, prec - r).scale(-1)),
+        lambda r: list(map(operator.sub, over_qbinom_ints(t, r, prec - r),
+                           over_qbinom_ints(t - 1, r, prec - r))),
         prec,
     )
     return comparison_report(
@@ -444,7 +482,7 @@ def proof_chain_theorem1(
     den = mul(
         pochhammer_inf(QMonomial(1, t + 2), prec), pochhammer_inf(q, prec)
     )
-    steps.append(mul(mul(pref, mul(num, invert(den))), phi3))
+    steps.append(mul(mul(pref, div(num, den)), phi3))
 
     # (iv)
     phi4 = phi(

@@ -5,14 +5,16 @@ time, so a wrapper set on the module attribute sees every call.  Coefficient
 kernels work on dense sequences indexed from the window's lowest exponent
 and never mutate their inputs.  Their inner loops run inside the C-level
 builtins ``map``, ``itertools.accumulate`` and ``sum``: ``convolve`` steps
-in Python once per nonzero term, ``invert_unit`` once per output
-coefficient, ``div_one_minus`` once per residue class (g = 1, small k) and
-``mul_one_minus`` not at all; the other ``div_one_minus`` cases keep a
-per-entry loop, which is faster at the widths used.  A coefficient is an
-exact rational,
-``int | Fraction`` (never a float or a bool): multiply-add keeps ints as
-ints, and only ``invert_unit`` divides, through Fraction, when the unit's
-constant term is not +-1.
+in Python once per nonzero term and ``divide_unit`` once per output
+coefficient.  ``one_minus_chain`` applies a whole product of one-minus
+factors to one copy of its input, in place: a multiply steps in Python not
+at all, a divide once per residue class (g = 1, small k) or else once per
+entry, which is faster at the widths used.  ``invert_unit``,
+``mul_one_minus`` and ``div_one_minus`` are the one-call cases of these
+two loops.  A coefficient is an exact rational, ``int | Fraction`` (never
+a float or a bool): multiply-add keeps ints as ints, and only
+``divide_unit`` divides, through Fraction, when the unit's constant term
+is not +-1.
 
 Enumeration kernels walk partition trees once per call and accumulate exact
 integer counts, so results are arbitrary precision by construction.  The
@@ -61,80 +63,100 @@ def convolve(a, b, n_out):
     return out
 
 
-def invert_unit(c, n_out):
-    """Reciprocal of a unit: (c * out)[k] = (k == 0), for k < n_out.
+def divide_unit(a, c, n_out):
+    """Quotient by a unit: (c * out)[k] = a[k] (0 past the end of a), k < n_out.
 
-    Requires c[0] != 0.  Division happens only by c[0]: when c[0] is +-1
-    it is a sign change, so int input gives int output; any other c[0]
-    divides through Fraction.  Everything else is multiply-accumulate, over
-    the nonzero c[i] only, so exactness is preserved.
+    Requires c[0] != 0 and n_out >= 1 (entry 0 is always computed).
+    Entry k is r = a[k] - sum_{i>=1} c[i]*out[k-i] over the nonzero c[i]
+    only, divided by c[0]: when c[0] is +-1 that is a sign change, so int
+    input gives int output; any other c[0] divides through Fraction.  An
+    entry with r == 0 is 0 * c[0], a zero of c[0]'s type.  The loop steps
+    once per output entry and keeps its sum inside ``sum``.
     """
     c0 = c[0]
     unit = c0 == 1 or c0 == -1
-    # For c0 = +-1, 1/c0 == c0 and -s/c0 == -s*c0.
-    out = [c0 if unit else Fraction(1, c0)]
-    neg = -c0
+    la = len(a)
     nz = [i for i in range(1, min(len(c), n_out)) if c[i]]
     vals = [c[i] for i in nz]
+    out = []
     used = 0  # nz[:used] are the indices i <= k
-    for k in range(1, n_out):
+    for k in range(max(n_out, 1)):
         if used < len(nz) and nz[used] == k:
             used += 1
         back = map(out.__getitem__, map(k.__sub__, nz[:used]))  # out[k - i]
         s = sum(map(mul, vals[:used], back))
-        if not s:
+        r = a[k] - s if k < la else -s
+        if not r:
             out.append(0 * c0)
         elif unit:
-            out.append(s * neg)
+            out.append(r * c0)  # r / c0 for c0 = +-1
         else:
-            out.append(Fraction(-s, c0))
+            out.append(Fraction(r, c0))
+    return out
+
+
+def invert_unit(c, n_out):
+    """Reciprocal of a unit: (c * out)[k] = (k == 0), for k < n_out.
+
+    The quotient of the series 1 by c; see :func:`divide_unit`.
+    """
+    return divide_unit((1,), c, n_out)
+
+
+def one_minus_chain(c, factors):
+    """c times (1 - g*q^k)**e for each (g, k, e) in order, e = +1 to
+    multiply and -1 to divide, every k >= 1; length preserved.
+
+    c is copied once and each factor is applied to the copy in place.  A
+    multiply is one map over the shifted copy: the right side is built in
+    full before the slice is written, so it reads only old entries.  A
+    divide is valid whenever the true quotient has no terms below the
+    window start, which holds for every unit divisor of this shape:
+    out[i] = out[i] + g*out[i-k] is a running sum along each residue class
+    mod k.  For g = 1 and k*k < n each class takes one accumulate.
+    Otherwise the loop runs once per entry and skips zero terms: at window
+    widths up to a few hundred it beats a map over blocks of k entries,
+    whose per-block slices cost more than the n/k steps save.
+    """
+    out = list(c)
+    n = len(out)
+    for g, k, e in factors:
+        if e > 0:
+            if g == 1:
+                out[k:] = map(sub, out[k:], out)
+            elif g == -1:
+                out[k:] = map(add, out[k:], out)
+            else:
+                out[k:] = map(sub, out[k:], map(mul, repeat(g), out))
+        elif g == 1 and k * k < n:
+            for r in range(k):
+                out[r::k] = accumulate(out[r::k])
+        elif g == 1:
+            for i in range(k, n):
+                prev = out[i - k]
+                if prev:
+                    out[i] = out[i] + prev
+        elif g == -1:
+            for i in range(k, n):
+                prev = out[i - k]
+                if prev:
+                    out[i] = out[i] - prev
+        else:
+            for i in range(k, n):
+                prev = out[i - k]
+                if prev:
+                    out[i] = out[i] + g * prev
     return out
 
 
 def mul_one_minus(c, g, k):
     """Multiply by the exact factor (1 - g*q^k), k >= 1; length preserved."""
-    out = list(c[:k])
-    if g == 1:
-        out += map(sub, c[k:], c)
-    elif g == -1:
-        out += map(add, c[k:], c)
-    else:
-        out += map(sub, c[k:], map(mul, repeat(g), c))
-    return out
+    return one_minus_chain(c, ((g, k, 1),))
 
 
 def div_one_minus(c, g, k):
-    """Divide by the exact factor (1 - g*q^k), k >= 1; length preserved.
-
-    Valid whenever the true quotient has no terms below the window start,
-    which holds for every unit divisor of this shape.  out[i] = c[i] +
-    g*out[i-k] is a running sum along each residue class mod k.  For
-    g = 1 and k*k < n each class takes one accumulate.  Otherwise the loop
-    runs once per entry and skips zero terms: at window widths up to a few
-    hundred it beats a map over blocks of k entries, whose per-block slices
-    cost more than the n/k steps save.
-    """
-    n = len(c)
-    out = list(c)
-    if g == 1 and k * k < n:
-        for r in range(k):
-            out[r::k] = accumulate(out[r::k])
-    elif g == 1:
-        for i in range(k, n):
-            prev = out[i - k]
-            if prev:
-                out[i] = out[i] + prev
-    elif g == -1:
-        for i in range(k, n):
-            prev = out[i - k]
-            if prev:
-                out[i] = out[i] - prev
-    else:
-        for i in range(k, n):
-            prev = out[i - k]
-            if prev:
-                out[i] = out[i] + g * prev
-    return out
+    """Divide by the exact factor (1 - g*q^k), k >= 1; length preserved."""
+    return one_minus_chain(c, ((g, k, -1),))
 
 
 def box_weighted_counts(max_part, max_parts):

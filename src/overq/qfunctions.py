@@ -24,11 +24,11 @@ from .series import (
     QSeries,
     QSeriesError,
     add,
+    div,
     div_one_minus,
-    invert,
-    mul,
     mul_one_minus,
     one,
+    one_minus_product,
 )
 
 
@@ -79,12 +79,7 @@ def pochhammer_inf(a: QMonomial, prec: int) -> QSeries:
         raise NonconvergentProductError(
             f"(a;q)_oo needs a with positive exponent, got {a}"
         )
-    s = one(prec)
-    k = 0
-    while a.exp + k < prec:
-        s = mul_one_minus(s, a.coeff, a.exp + k)
-        k += 1
-    return s
+    return one_minus_product(one(prec), ((a.coeff, k, 1) for k in range(a.exp, prec)))
 
 
 # -- Gaussian and overpartition q-binomials -------------------------------------
@@ -178,22 +173,25 @@ def over_qbinom_sum(m: int, n: int, prec: int | None = None) -> QSeries:
 
 def _over_ladder(p: int, t: int) -> list:
     """The over-q-binomials f(i, j) for i <= min(t, p - 1) and j < p:
-    rows[i][j] holds the int coefficients of f(i, j) on [0, p - j).
+    rows[i][j] holds the int coefficients of f(i, j) on [0, p - j), for
+    j < h = ceil(p/2); every column j >= h is a prefix of column h - 1.
 
     f(i, j) = f(i, j-1) + q^j (f(i-1, j) + f(i-1, j-1)) with
     f(i, 0) = f(0, j) = 1: either fewer than j parts are used, or all j
     part slots are filled and lowering every part by one costs q^j and
     lands in a box one shorter.  On [0, p - j) the q^j terms need their
     f(i-1, .) only below p - 2j, so each entry is one copy and two
-    slice-adds.  A box with largest part i adds only sizes >= i, so on
-    these windows every row past p - 1 would repeat row p - 1: the rows
-    stop there.
+    slice-adds.  Once 2j >= p the q^j terms lie past the window, and
+    column j is column j - 1 cut to p - j: the rows stop at h.  A box
+    with largest part i adds only sizes >= i, so on these windows every
+    row past p - 1 would repeat row p - 1: the rows stop there too.
     """
-    row = [[1] + [0] * (p - 1 - j) for j in range(p)]
+    h = (p + 1) // 2
+    row = [[1] + [0] * (p - 1 - j) for j in range(h)]
     rows = [row]
     for _ in range(min(t, p - 1)):
         above, row = row, [row[0]]
-        for j in range(1, p):
+        for j in range(1, h):
             cur = row[j - 1][: p - j]
             cur[j:] = map(operator.add, map(operator.add, cur[j:], above[j]),
                           above[j - 1])
@@ -208,21 +206,29 @@ def _over_ladder(p: int, t: int) -> list:
 _LADDER = kernels.HeldTable(lambda p, t: _over_ladder(p, t))
 
 
-def over_qbinom_ladder(m: int, n: int, prec: int) -> QSeries:
-    """over_qbinom_sum(m, n, prec), read from the held ladder.
+def over_qbinom_ints(m: int, n: int, prec: int) -> list:
+    """The int coefficients of over_qbinom_sum(m, n, prec) on [0, prec),
+    prec >= 1, read from the held ladder.
 
     The read needs the ladder to p = n + prec.  On [0, prec) the box
     polynomial stops changing once m reaches prec - 1, so m clamps to
     p - 1 and a huge m costs no more than m = p - 1.  A ladder held from
     an earlier read serves this one when it reaches both p and the clamped
-    m; otherwise it is rebuilt to exactly those.
+    m; otherwise it is rebuilt to exactly those.  Column n is read from
+    the last stored column when n is past it, of which it is a prefix.
     """
+    p = n + prec
+    t = min(m, p - 1)
+    row = _LADDER.get(p, t)[t]
+    return row[min(n, len(row) - 1)][:prec]
+
+
+def over_qbinom_ladder(m: int, n: int, prec: int) -> QSeries:
+    """over_qbinom_sum(m, n, prec), read from the held ladder."""
     _require_box(m, n)
     if prec < 1:
         return _wrap_poly([], 0, prec)
-    p = n + prec
-    t = min(m, p - 1)
-    return QSeries._make(0, prec, _LADDER.get(p, t)[t][n][:prec])
+    return QSeries._make(0, prec, over_qbinom_ints(m, n, prec))
 
 
 # -- basic hypergeometric series -------------------------------------------------
@@ -305,21 +311,35 @@ def phi(spec: PhiSpec) -> QSeries:
         drift += (-s_minus_r) * horizon * (horizon + 1) // 2
     work = prec + drift
 
+    # From the first n with low + n >= 1 on, every factor of a term update
+    # has k >= 1 and the update is one chain.
+    low = min((p.exp for p in (*ups, *lows)), default=1)
     term = one(work)
     acc = term
     n = 0
     while True:
         if n_stop is not None and n >= n_stop:
             break
-        for u in ups:
-            term = mul_one_minus(term, u.coeff, u.exp + n)
-        term = div_one_minus(term, 1, n + 1)
-        for b in lows:
-            term = div_one_minus(term, b.coeff, b.exp + n)
+        if low + n >= 1:
+            term = one_minus_product(
+                term,
+                [(u.coeff, u.exp + n, 1) for u in ups] + [(1, n + 1, -1)]
+                + [(b.coeff, b.exp + n, -1) for b in lows],
+            )
+        else:
+            for u in ups:
+                term = mul_one_minus(term, u.coeff, u.exp + n)
+            term = div_one_minus(term, 1, n + 1)
+            for b in lows:
+                term = div_one_minus(term, b.coeff, b.exp + n)
         if s_minus_r:
             sign = -1 if s_minus_r % 2 else 1
             term = term.times_monomial(sign, n * s_minus_r)
         term = term.times_monomial(z.coeff, z.exp)
+        if not drift:
+            # No factor shifts a term down, so entries at prec and above
+            # never reach the window: drop them.
+            term = term.truncate(prec)
         n += 1
         acc = add(acc, term)
         if n_stop is None:
@@ -355,7 +375,7 @@ def verify_chu(a: QMonomial, n: int, c: QMonomial, prec: int):
     boost += -2 * sum(min(0, c.exp + k) for k in range(n))
     num = pochhammer(ca, n, prec + boost)
     den = pochhammer(c, n, prec + boost)
-    rhs = mul(num, invert(den))
+    rhs = div(num, den)
     if rhs.prec < prec:
         raise QSeriesError("internal: right side lost precision")
 

@@ -16,9 +16,17 @@ scalar).  Floats and bools are rejected outright.
 Coefficient types are checked once, where outside values enter:
 ``QSeries(...)``, :func:`from_terms` and :func:`monomial`, the scalars of
 :meth:`QSeries.scale` and :meth:`QSeries.times_monomial`,
-:class:`QMonomial`, and the ``g`` of :func:`mul_one_minus` and
-:func:`div_one_minus`.  Ring operations on checked values can only give
-ints and Fractions, so their results are stored unchecked.
+:class:`QMonomial`, and the ``g`` of :func:`mul_one_minus`,
+:func:`div_one_minus` and :func:`one_minus_product`.  Ring operations on
+checked values can only give ints and Fractions, so their results are
+stored unchecked.  Exponents must be ints: a float exponent raises
+TypeError and is never rounded.
+
+Builders with many factors or summands do not go through one immutable
+value per step: :func:`one_minus_product` applies a whole product of
+one-minus factors in one kernel call, :func:`div` solves for a quotient by
+a unit directly, and the part sums of :mod:`.identities` add their
+summands into one int list that is wrapped once.
 """
 
 from __future__ import annotations
@@ -66,6 +74,13 @@ def _coerce(value) -> Rational:
     if isinstance(value, Fraction):
         return value
     raise TypeError(f"exact rational required, got {type(value).__name__}")
+
+
+def _exponent(e) -> int:
+    """Check an exponent is an int; a float such as 2.5 is never rounded."""
+    if not isinstance(e, int):
+        raise TypeError(f"exponent must be an int, got {type(e).__name__}")
+    return int(e)
 
 
 def _div(num: Rational, den: Rational) -> Rational:
@@ -301,9 +316,10 @@ def from_terms(terms: Iterable[tuple[int, Rational]], prec: int) -> QSeries:
     [min(0, prec), prec), a zero series.
 
     Raises:
+        TypeError: if an exponent is not an int.
         WindowViolationError: if any exponent is >= prec.
     """
-    pairs = [(int(e), _coerce(c)) for e, c in terms]
+    pairs = [(_exponent(e), _coerce(c)) for e, c in terms]
     for e, _ in pairs:
         if e >= prec:
             raise WindowViolationError(
@@ -398,7 +414,20 @@ def invert(a: QSeries) -> QSeries:
 
 
 def div(a: QSeries, b: QSeries) -> QSeries:
-    """a / b, by inversion followed by multiplication."""
+    """a / b, on the window of mul(a, invert(b)).
+
+    When b starts at q^0 with the int constant term +-1, the quotient is
+    solved for directly (``kernels.divide_unit``), with no reciprocal and
+    no product: a step per output entry over the nonzeros of b only.
+    Otherwise a / b is inversion followed by multiplication.
+    """
+    c0 = b.coeffs[0] if b.lo == 0 and b.prec > 0 else 0
+    if type(c0) is int and (c0 == 1 or c0 == -1):
+        prec = min(a.prec, b.prec + a.lo)
+        n_out = prec - a.lo
+        if n_out <= 0:
+            return QSeries._make(prec, prec, ())
+        return QSeries._make(a.lo, prec, kernels.divide_unit(a.coeffs, b.coeffs, n_out))
     return mul(a, invert(b))
 
 
@@ -445,6 +474,29 @@ def _coeff_run(a: QSeries, lo: int, stop: int) -> tuple[Rational, ...]:
 # Multiplying or dividing by (1 - g*q^k) is exact and O(window), so products
 # of such factors (Pochhammer symbols, partition generating functions) never
 # pay the generic convolution cost.
+
+
+def one_minus_product(
+    a: QSeries, factors: Iterable[tuple[Rational, int, int]]
+) -> QSeries:
+    """a * prod (1 - g*q^k)**e over the (g, k, e) in factors, applied in
+    order, with e = +1 to multiply and -1 to divide and every k >= 1.
+
+    Factors with g = 0 or k at or beyond the window width are 1 on the
+    window and are dropped; the rest go to one ``kernels.one_minus_chain``
+    call, which copies the coefficients once.
+    """
+    width = a.prec - a.lo
+    chain = []
+    for g, k, e in factors:
+        if k < 1:
+            raise ValueError(f"one_minus_product needs k >= 1, got {k}")
+        g = _coerce(g)
+        if g and k < width:
+            chain.append((g, k, e))
+    if not chain:
+        return a
+    return QSeries._make(a.lo, a.prec, kernels.one_minus_chain(a.coeffs, chain))
 
 
 def mul_one_minus(a: QSeries, g: Rational, k: int) -> QSeries:

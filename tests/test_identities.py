@@ -4,12 +4,14 @@ and mod-4 consequences; the pass and fail report of every check family; and
 the check runner's report plumbing."""
 
 import json
+import operator
 from fractions import Fraction
+from functools import reduce
 from math import isqrt
 
 import pytest
 
-from overq import identities, qfunctions
+from overq import identities, kernels, qfunctions
 from overq.enumeration import divisor_count, oracle_series, over_qbinom_box_oracle
 from overq.identities import (
     ALL_CHECKS,
@@ -216,19 +218,95 @@ def reference_gf_abr(t, prec):
     return add(add(p1, p2), p3).truncate(prec)
 
 
+# -- references: the part sums as they were on whole series, kept verbatim ---------
+#
+# Each summand was a QSeries and the sums were reduce(add, ...); the builders
+# now run on int lists and add every summand into one list.
+
+
+def series_smallest_part_terms(t, hi, prec):
+    if prec <= 1:
+        return
+    s = _times_ratio(div_one_minus(monomial(2, 1, prec), 1, 1), 2, 1 + hi)
+    for j in range(2 + hi, 2 + t):
+        s = div_one_minus(s, 1, j)
+    for m in range(1, prec):
+        if m > 1:
+            s = s.times_monomial(1, 1).truncate(prec)
+            s = div_one_minus(mul_one_minus(s, 1, m - 1), 1, m + t)
+            s = div_one_minus(mul_one_minus(s, -1, m + hi), -1, m)
+        if s.valuation() != m:
+            raise RuntimeError(
+                f"summand m={m} has valuation {s.valuation()}, expected {m}"
+            )
+        yield s
+
+
+def series_gf_pbar_direct(t, prec):
+    return reduce(add, series_smallest_part_terms(t, t, prec), zero(prec))
+
+
+def series_gf_g_direct(t, prec):
+    return reduce(add, series_smallest_part_terms(t, t - 1, prec), zero(prec))
+
+
+def series_case_two_direct(t, prec):
+    acc = zero(prec)
+    for m, g_m in enumerate(series_smallest_part_terms(t, t - 1, prec), 1):
+        if 2 * m + t >= prec:
+            break
+        acc = add(acc, g_m.times_monomial(1, m + t))
+    return acc
+
+
+def series_largest_part_sum(poly, prec):
+    return reduce(
+        add,
+        (div_one_minus(poly(r).times_monomial(1, r), 1, r) for r in range(1, prec)),
+        zero(prec),
+    )
+
+
 @pytest.mark.parametrize(
     "build, reference, t_min",
     [(gf_pbar_direct, reference_gf_pbar_direct, 0),
      (gf_g_direct, reference_gf_g_direct, 1),
-     (identities._case_two_direct, reference_case_two_direct, 1)],
-    ids=["pbar", "g", "case-two"],
+     (identities._case_two_direct, reference_case_two_direct, 1),
+     (gf_pbar_direct, series_gf_pbar_direct, 0),
+     (gf_g_direct, series_gf_g_direct, 1),
+     (identities._case_two_direct, series_case_two_direct, 1)],
+    ids=["pbar", "g", "case-two", "pbar-series", "g-series", "case-two-series"],
 )
 def test_smallest_part_sums_equal_the_rebuild_per_m_sums(build, reference, t_min):
-    # Each summand now comes from the one before it; every prec below 14
-    # and a spread of larger ones up to 61 keep the run short.
+    # The rebuild-per-m sums, and the whole-series sums the int-list ones
+    # replace; every prec below 14 and a spread of larger ones up to 61 keep
+    # the run short.
     for t in range(t_min, 9):
         for prec in [*range(14), *range(17, 62, 4)]:
             _assert_same_int_series(build(t, prec), reference(t, prec), (t, prec))
+
+
+def test_largest_part_sums_equal_the_whole_series_sums():
+    # The oqbinom and case (3) sums over the largest part r, on int lists
+    # from the held ladder, against reduce(add, ...) over the ladder's
+    # QSeries reads.
+    box = qfunctions.over_qbinom_ints
+    series_box = qfunctions.over_qbinom_ladder
+    for t in range(9):
+        for prec in [*range(14), *range(17, 62, 4)]:
+            pairs = [(lambda r: box(t, r - 1, prec - r),
+                      lambda r: series_box(t, r - 1, prec - r))]
+            if t >= 1:
+                pairs.append((
+                    lambda r: list(map(operator.sub, box(t, r, prec - r),
+                                       box(t - 1, r, prec - r))),
+                    lambda r: add(series_box(t, r, prec - r),
+                                  series_box(t - 1, r, prec - r).scale(-1)),
+                ))
+            for poly, series_poly in pairs:
+                _assert_same_int_series(
+                    identities._largest_part_sum(poly, prec),
+                    series_largest_part_sum(series_poly, prec), (t, prec))
 
 
 def test_gf_abr_equals_its_three_part_form():
@@ -251,11 +329,14 @@ def test_direct_sums_match_closed_forms():
 
 
 def test_direct_sums_raise_on_a_misplaced_summand(monkeypatch):
-    real = identities.monomial
-    monkeypatch.setattr(identities, "monomial",
-                        lambda c, m, prec: real(c, m + 1, prec))
+    # Every summand list comes out of a one-minus chain: shifting each one
+    # entry up moves S_1 to valuation 2.
+    real = kernels.one_minus_chain
+    monkeypatch.setattr(kernels, "one_minus_chain",
+                        lambda c, factors: [0, *real(c, factors)[:-1]])
     for direct in (gf_pbar_direct, gf_g_direct):
-        with pytest.raises(RuntimeError, match="summand m=1 "):
+        with pytest.raises(RuntimeError,
+                           match="^summand m=1 has valuation 2, expected 1$"):
             direct(1, 6)
 
 
@@ -373,21 +454,21 @@ def test_held_ladder_equals_the_explicit_sum_on_every_check_read(monkeypatch, or
     # The only checks that read boxes are oqbinom and cases, so these two
     # families read every box that `verify --check all --t-max 8` reads.
     seen = {}
-    real = identities.over_qbinom_ladder
+    real = identities.over_qbinom_ints
 
     def spy(m, n, prec):
         seen[m, n, prec] = out = real(m, n, prec)
         return out
 
-    monkeypatch.setattr(identities, "over_qbinom_ladder", spy)
+    monkeypatch.setattr(identities, "over_qbinom_ints", spy)
     qfunctions._LADDER.clear()
     for family in ("oqbinom", "cases"):
         assert all(r.passed for r in run_checks(family, 8, order))
     qfunctions._LADDER.clear()
     assert set(seen) == _check_reads(8, order)
     for (m, n, prec), box in seen.items():
-        _assert_same_int_series(box, qfunctions.over_qbinom_sum(m, n, prec),
-                                (m, n, prec))
+        _assert_same_int_series(QSeries(0, prec, box),
+                                qfunctions.over_qbinom_sum(m, n, prec), (m, n, prec))
 
 
 def test_check_suite_builds_one_ladder_and_no_explicit_sum(monkeypatch, capsys):
@@ -407,6 +488,26 @@ def test_check_suite_builds_one_ladder_and_no_explicit_sum(monkeypatch, capsys):
     # cases runs first, at its largest t: its ladder covers every later read.
     assert builds == [(61, 8)]
     assert sums == []
+
+
+def test_quotients_solve_directly_with_no_inverse(monkeypatch, capsys):
+    # (-q;q)_oo/(q;q)_oo divides by a series with constant term 1, so it is
+    # solved for directly: no reciprocal and no product.  Neither does any
+    # check of `verify --check all` invert a series.
+    from overq import cli
+
+    calls = []
+    for name in ("convolve", "invert_unit"):
+        real = getattr(kernels, name)
+        monkeypatch.setattr(kernels, name, lambda *args, _name=name, _real=real: (
+            calls.append(_name) or _real(*args)))
+    total = gf_overline_total(801)
+    assert calls == []
+    assert (total.lo, total.prec) == (0, 801)
+    assert total.coeffs[:6] == (1, 2, 4, 8, 14, 24)
+    assert cli.main(["verify", "--check", "all"]) == 0
+    assert "0 fail, 0 error" in capsys.readouterr().out
+    assert "convolve" in calls and "invert_unit" not in calls
 
 
 def test_corrupt_hook_reports_first_mismatch():
@@ -504,7 +605,7 @@ def _bump_box(box):
     def wrap(real):
         def read(m, n, prec):
             s = real(m, n, prec)
-            return s + monomial(1, 1, prec) if (m, n) == box else s
+            return [s[0], s[1] + 1, *s[2:]] if (m, n) == box else s
         return read
     return wrap
 
@@ -546,7 +647,7 @@ _PINNED = [
      "largest-part expansion deviates from the closed form"),
     # The box (2, 3) serves r = 4: 2 q^4/(1-q^4) * q moves q^5 by 2.
     ("oqbinom-box", lambda: check_oqbinom_pbar(2, 12),
-     ((identities, "over_qbinom_ladder", _bump_box((2, 3))),), (5, "22", "20"),
+     ((identities, "over_qbinom_ints", _bump_box((2, 3))),), (5, "22", "20"),
      "largest-part expansion deviates from the closed form"),
     ("relation", lambda: check_pbar_g_relation(2, 12), (), None,
      "adjacent spread bounds recombine to order 12"),
@@ -563,7 +664,7 @@ _PINNED = [
      "case (2) closed form deviates from its direct sum"),
     # The box (1, 4) is the t - 1 side of r = 4: case (3) loses q^5.
     ("cases-box", lambda: check_three_cases(2, 12),
-     ((identities, "over_qbinom_ladder", _bump_box((1, 4))),), (5, "19", "20"),
+     ((identities, "over_qbinom_ints", _bump_box((1, 4))),), (5, "19", "20"),
      "three cases fail to sum to the full series"),
     ("proofchain", lambda: proof_chain_theorem1(2, 12), (), None,
      "all five expressions agree pairwise to order 12"),

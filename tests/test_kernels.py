@@ -6,16 +6,24 @@ and on every input for the kernels whose rewrite does the same arithmetic
 in the same order (mul_one_minus, invert_unit, add).  convolve may drive
 its loop from either operand and div_one_minus's accumulate path does not
 skip zero terms, so with Fraction inputs they may return a zero as 0 where
-the reference gave Fraction(0), or the other way round.
+the reference gave Fraction(0), or the other way round.  one_minus_chain
+does the arithmetic of the one-factor kernels it replaced, so against
+their bodies types agree on every input.  divide_unit and series.div
+solve for the quotient where mul(a, invert(b)) multiplies by the
+reciprocal, so there too only a zero's type may differ, and only when a
+Fraction is involved.
 """
 
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import add as _add, mul as _mul, sub as _sub
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from overq import kernels
-from overq.series import QSeries, add
+from overq.series import QSeries, QSeriesError, add, div, invert, mul
 
 # -- references: the former kernel bodies, kept verbatim ------------------------------
 
@@ -84,6 +92,43 @@ def reference_div_one_minus(c, g, k):
     n = len(c)
     out = list(c)
     if g == 1:
+        for i in range(k, n):
+            prev = out[i - k]
+            if prev:
+                out[i] = out[i] + prev
+    elif g == -1:
+        for i in range(k, n):
+            prev = out[i - k]
+            if prev:
+                out[i] = out[i] - prev
+    else:
+        for i in range(k, n):
+            prev = out[i - k]
+            if prev:
+                out[i] = out[i] + g * prev
+    return out
+
+
+def former_mul_one_minus(c, g, k):
+    """Multiply by the exact factor (1 - g*q^k), k >= 1; length preserved."""
+    out = list(c[:k])
+    if g == 1:
+        out += map(_sub, c[k:], c)
+    elif g == -1:
+        out += map(_add, c[k:], c)
+    else:
+        out += map(_sub, c[k:], map(_mul, repeat(g), c))
+    return out
+
+
+def former_div_one_minus(c, g, k):
+    """Divide by the exact factor (1 - g*q^k), k >= 1; length preserved."""
+    n = len(c)
+    out = list(c)
+    if g == 1 and k * k < n:
+        for r in range(k):
+            out[r::k] = accumulate(out[r::k])
+    elif g == 1:
         for i in range(k, n):
             prev = out[i - k]
             if prev:
@@ -199,6 +244,87 @@ def test_one_minus_factors_match_the_per_entry_loops(data):
     assert_same(
         kernels.div_one_minus(c, g, k), reference_div_one_minus(c, g, k), kind == "int"
     )
+
+
+def apply_each(c, factors, mul_one, div_one):
+    for g, k, e in factors:
+        c = (mul_one if e > 0 else div_one)(c, g, k)
+    return list(c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_one_minus_chain_matches_the_per_factor_loops(data):
+    kind = data.draw(KINDS)
+    c = data.draw(coeff_lists(kind, max_size=40))
+    g = G if kind != "int" else G.filter(lambda g: type(g) is int)
+    k = st.integers(1, len(c) + 2) | st.integers(1, 5)
+    factors = data.draw(st.lists(st.tuples(g, k, st.sampled_from((1, -1))),
+                                 max_size=6))
+    c = data.draw(st.sampled_from((c, tuple(c))))
+    new = kernels.one_minus_chain(c, factors)
+    assert len(new) == len(c)
+    assert_same(new, apply_each(c, factors, reference_mul_one_minus,
+                                reference_div_one_minus), kind == "int")
+    assert_same(new, apply_each(c, factors, former_mul_one_minus,
+                                former_div_one_minus), True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_divide_unit_matches_the_product_with_the_inverse(data):
+    kind = data.draw(KINDS)
+    c0 = data.draw(st.sampled_from((1, -1)) | coeff(kind).filter(bool))
+    c = [c0] + data.draw(coeff_lists(kind))
+    a = data.draw(coeff_lists(kind))
+    n_out = data.draw(st.integers(1, len(c) + 3))
+    new = kernels.divide_unit(a, c, n_out)
+    ref = reference_convolve(a, reference_invert_unit(c, n_out), n_out)
+    assert_same(new, ref, kind == "int" and c0 in (1, -1))
+    assert len(new) == n_out
+
+
+def test_divide_unit_keeps_the_inverse_rules():
+    # A quotient entry that cancels is 0 * c[0]: an int zero for an int
+    # unit, a Fraction zero for a Fraction one.
+    assert kernels.divide_unit([1, 1], [1, 1], 4) == [1, 0, 0, 0]
+    assert [type(x) for x in kernels.divide_unit([1, 1], [1, 1], 4)] == [int] * 4
+    half = kernels.divide_unit([Fraction(1), 1], [Fraction(1), 1], 3)
+    assert [type(x) for x in half] == [Fraction] * 3
+    assert kernels.divide_unit([3, 0, 1], [2, 1], 3) == [
+        Fraction(3, 2), Fraction(-3, 4), Fraction(7, 8)]
+    # The series 1 over c is the inverse, entry for entry and type for type.
+    for c in ([1, 0, 3], [-1, 2, 0, 5], [2, 1], [Fraction(1, 3), 0, 1]):
+        for n_out in (1, 2, 5):
+            assert_same(kernels.divide_unit((1,), c, n_out),
+                        kernels.invert_unit(c, n_out), True)
+
+
+# -- series.div -------------------------------------------------------------------
+
+LEAD = st.sampled_from((1, -1, 0, 2, -3, Fraction(1), Fraction(-1), Fraction(1, 2)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_div_matches_the_product_with_the_inverse(data):
+    # b's constant term: +-1 (the direct quotient), or 0, a non-unit int or
+    # a Fraction (the product with the inverse).
+    kind = data.draw(KINDS)
+    a = data.draw(series(kind))
+    lo = data.draw(st.sampled_from((0, 0, 0, -2, 1)))
+    rest = data.draw(coeff_lists(kind, max_size=10))
+    b = QSeries(lo, lo + 1 + len(rest), [data.draw(LEAD)] + rest)
+    try:
+        ref = mul(a, invert(b))
+    except QSeriesError as err:
+        with pytest.raises(type(err)):
+            div(a, b)
+        return
+    new = div(a, b)
+    assert (new.lo, new.prec) == (ref.lo, ref.prec)
+    direct = b.lo == 0 and type(b.coeffs[0]) is int and b.coeffs[0] in (1, -1)
+    assert_same(new.coeffs, ref.coeffs, kind == "int" or not direct)
 
 
 def test_kernels_on_empty_and_short_inputs():

@@ -105,6 +105,18 @@ def test_floats_are_rejected_everywhere():
             div_one_minus(one(4), bad, 1)
 
 
+def test_exponents_must_be_ints():
+    # A float exponent used to be cut to an int: 2.5 and 2.9 both gave q^2.
+    for bad in (2.5, 2.9, 2.0, F(2), "2", None):
+        with pytest.raises(TypeError):
+            from_terms([(bad, 1)], 5)
+        with pytest.raises(TypeError):
+            monomial(1, bad, 5)
+        with pytest.raises(TypeError):
+            QMonomial(1, bad)
+    assert from_terms([(2, 1), (2, 3)], 5) == monomial(4, 2, 5)
+
+
 def test_monomial_requires_nonzero_coeff():
     with pytest.raises(ValueError):
         QMonomial(0, 3)

@@ -291,8 +291,8 @@ def test_walk_table_matches_flag_enumeration():
     # Callers and outside wrappers reach every kernel as a module attribute.
     assert kernels.BACKEND == "pure"
     assert all(callable(getattr(kernels, name, None)) for name in (
-        "convolve", "invert_unit", "mul_one_minus", "div_one_minus",
-        "box_weighted_counts", "window_diff_counts",
+        "convolve", "invert_unit", "divide_unit", "one_minus_chain",
+        "mul_one_minus", "div_one_minus", "box_weighted_counts", "window_diff_counts",
         "all_partition_weighted_counts",
     ))
     table = kernels.window_diff_counts(12, 4)
@@ -354,7 +354,8 @@ def test_oracle_calls_no_coefficient_kernel(walks, monkeypatch):
     # An oracle that shared a coefficient kernel with the formula side would
     # not check it.  walks has emptied the held tables, so every kind walks.
     used = []
-    for name in ("convolve", "invert_unit", "mul_one_minus", "div_one_minus"):
+    for name in ("convolve", "invert_unit", "divide_unit", "one_minus_chain",
+                 "mul_one_minus", "div_one_minus"):
         def recorded(*args, _kernel=getattr(kernels, name), _name=name):
             used.append(_name)
             return _kernel(*args)
