@@ -28,13 +28,20 @@ The part sums, ``gf_pbar`` and the factor products run on plain int
 lists: each summand is one list, each step of a product one
 ``kernels.one_minus_chain`` call, and every summand is added in place into
 one list (``_sum_from``) that is wrapped as a QSeries once, at the end.
+
+Steps (ii)-(iv) of the proof chain are each one ``one_minus_product`` on
+their phi series, whose factor list spells out the step's prefactor and
+infinite products; inverse factors cancel there.  The proof chain and the
+three-case split compare halves, so they compare twice each side, as int
+series, and halve only a reported mismatch (``_halves_report``).  Within
+one ``run_checks`` call, ``gf_pbar``, ``gf_G``, ``gf_g_direct`` and
+``gf_pbar_direct`` are built once per argument tuple (``_built``).
 """
 
 from __future__ import annotations
 
 import operator
 from collections.abc import Callable, Iterable, Iterator
-from fractions import Fraction
 from itertools import repeat
 
 from . import kernels
@@ -52,23 +59,42 @@ from .series import (
     MismatchInfo,
     QMonomial,
     QSeries,
+    _div,
     add,
     div,
     div_one_minus,
     geometric,
     monomial,
-    mul,
     mul_one_minus,
     one,
     one_minus_product,
 )
 
-_HALF = Fraction(1, 2)
-
 
 def _require_order(order: int) -> None:
     if order < 1:
         raise ValueError(f"comparison order must be >= 1, got {order}")
+
+
+# The finished series of the run_checks call under way, keyed by
+# (builder, args); None outside one.
+_memo: dict | None = None
+
+
+def _built(build: Callable[..., QSeries], *args) -> QSeries:
+    """build(*args), built once per run_checks call.
+
+    Callers pass the builder as this module names it at the call, so a
+    replacement (a test's, or a tracer's wrapper) is a key of its own and
+    runs.
+    """
+    if _memo is None:
+        return build(*args)
+    key = (build, args)
+    s = _memo.get(key)
+    if s is None:
+        s = _memo[key] = build(*args)
+    return s
 
 
 # -- building blocks -------------------------------------------------------------
@@ -326,11 +352,12 @@ def check_th1(t: int, order: int, _corrupt: bool = False) -> VerificationReport:
     """
     _require_order(order)
     prec = order + 1
-    closed = gf_G(t, prec)
+    closed = _built(gf_G, t, prec)
     if _corrupt:
         closed = mul_one_minus(closed, -1, 1)
     return _triple_report(
-        "th1", t, order, closed, gf_g_direct(t, prec), oracle_series("g_t", t, order)
+        "th1", t, order, closed, _built(gf_g_direct, t, prec),
+        oracle_series("g_t", t, order),
     )
 
 
@@ -339,7 +366,7 @@ def check_th2(t: int, order: int) -> VerificationReport:
     _require_order(order)
     prec = order + 1
     return _triple_report(
-        "th2", t, order, gf_pbar(t, prec), gf_pbar_direct(t, prec),
+        "th2", t, order, _built(gf_pbar, t, prec), _built(gf_pbar_direct, t, prec),
         oracle_series("pbar_t", t, order),
     )
 
@@ -372,7 +399,8 @@ def check_pbar_g_relation(t: int, order: int) -> VerificationReport:
     return comparison_report(
         IdentityCheck("relation", {"t": t}, order),
         f"adjacent spread bounds recombine to order {order}",
-        (add(gf_pbar(t, prec), gf_pbar(t - 1, prec)), gf_G(t, prec).scale(2),
+        (add(_built(gf_pbar, t, prec), _built(gf_pbar, t - 1, prec)),
+         _built(gf_G, t, prec).scale(2),
          "adjacent spread bounds fail to recombine"),
     )
 
@@ -388,9 +416,54 @@ def check_oqbinom_pbar(t: int, order: int) -> VerificationReport:
     return comparison_report(
         IdentityCheck("oqbinom", {"t": t}, order),
         f"largest-part expansion over box polynomials matches to order {order}",
-        (lhs.scale(2), gf_pbar(t, prec),
+        (lhs.scale(2), _built(gf_pbar, t, prec),
          "largest-part expansion deviates from the closed form"),
     )
+
+
+def _halves_report(
+    check: IdentityCheck, pass_message: str,
+    *comparisons: tuple[tuple[QSeries, bool], tuple[QSeries, bool], str],
+) -> VerificationReport:
+    """comparison_report for checks whose compared values are halves.
+
+    Each comparison is (lhs, rhs, fail message), each side a pair
+    (series, frac) whose series is twice the compared value, so every
+    comparison runs on int series.  Only a reported mismatch is halved
+    back, to the type the value has as a half: a Fraction on a frac side
+    from its window start on, where the half is a scale by 1/2, and an
+    int elsewhere (an int side is doubled from ints, so it is even).
+    """
+    report = comparison_report(
+        check, pass_message, *((a, b, m) for (a, _), (b, _), m in comparisons)
+    )
+    mm = report.first_mismatch
+    if mm is None:
+        return report
+    sides = next((a, b) for a, b, m in comparisons if m == report.message)
+    e = mm.exponent
+    lhs, rhs = (
+        _div(v, 2) if frac and e >= s.lo else v // 2
+        for (s, frac), v in zip(sides, (mm.lhs, mm.rhs))
+    )
+    return VerificationReport(
+        check, STATUS_FAIL, MismatchInfo(e, lhs, rhs), report.message
+    )
+
+
+def _case_sides(t: int, prec: int) -> tuple[QSeries, QSeries, QSeries, QSeries]:
+    """Twice the sides that check_three_cases compares: case (2)'s closed
+    form and its direct sum, then the sum of the three cases and gf_pbar(t)."""
+    full = _built(gf_pbar, t, prec)
+    case1 = _ratio_minus_one(t, prec)
+    twice_case2 = add(full, _built(gf_pbar, t - 1, prec).scale(-1))
+    case3 = _largest_part_sum(
+        lambda r: list(map(operator.sub, over_qbinom_ints(t, r, prec - r),
+                           over_qbinom_ints(t - 1, r, prec - r))),
+        prec,
+    )
+    return (twice_case2, _case_two_direct(t, prec).scale(2),
+            add(add(case1, case3).scale(2), twice_case2), full.scale(2))
 
 
 def check_three_cases(t: int, order: int) -> VerificationReport:
@@ -402,31 +475,84 @@ def check_three_cases(t: int, order: int) -> VerificationReport:
                                         (oqbinom(t, r) - oqbinom(t-1, r))
 
     Passes when case (2)'s closed form matches its own direct sum and the
-    cases sum to gf_pbar(t).
+    cases sum to gf_pbar(t).  Both comparisons run doubled, on int series
+    (see _halves_report); case (2) and the sum of the cases are the halves.
     """
     _require_order(order)
     if t < 1:
         raise ValueError(f"three-case split needs t >= 1, got {t}")
-    prec = order + 1
-    full = gf_pbar(t, prec)
-    case1 = _ratio_minus_one(t, prec)
-    case2 = add(full, gf_pbar(t - 1, prec).scale(-1)).scale(_HALF)
-    case3 = _largest_part_sum(
-        lambda r: list(map(operator.sub, over_qbinom_ints(t, r, prec - r),
-                           over_qbinom_ints(t - 1, r, prec - r))),
-        prec,
-    )
-    return comparison_report(
+    case2, direct, total, full = _case_sides(t, order + 1)
+    return _halves_report(
         IdentityCheck("cases", {"t": t}, order),
         f"three cases sum to the full series to order {order}",
-        (case2, _case_two_direct(t, prec),
+        ((case2, True), (direct, False),
          "case (2) closed form deviates from its direct sum"),
-        (add(add(case1, case2), case3), full,
-         "three cases fail to sum to the full series"),
+        ((total, True), (full, False), "three cases fail to sum to the full series"),
     )
 
 
 _CHAIN_LABELS = ("(i)", "(ii)", "(iii)", "(iv)", "(v)")
+# Whether each step's value is a Fraction series: (i), (iv) and (v) carry a
+# factor 1/2, while (ii) and (iii) are int series.
+_CHAIN_FRACS = (True, False, False, True, True)
+
+
+def _chain_steps(t: int, order: int) -> list[QSeries]:
+    """Twice the five steps of proof_chain_theorem1, each an int series.
+
+    (i) and (v) are gf_g_direct and gf_G themselves.  Each of (ii)-(iv) is
+    one one_minus_product on its phi series: 2q times it for (ii) and
+    (iii), whose prefactor's q becomes that shift, so their phi series are
+    needed below q^order only; 1 minus it for (iv).  The factor list
+    spells out the step's prefactor, and for (iii) the four infinite
+    products over every k below the window width.  A factor and its
+    inverse cancel in one_minus_product, so (iii) costs no more than (ii).
+    """
+    prec = order + 1
+    q = QMonomial(1, 1)
+    # q(-q;q)_t/((1+q)(q;q)_{t+1}) without its q
+    pref = [*_ratio_factors(1, t), (1, t + 1, -1), (-1, 1, -1)]
+
+    # (ii)
+    phi2 = phi(
+        PhiSpec(
+            (q, q, QMonomial(-1, t + 1)),
+            (QMonomial(-1, 2), QMonomial(1, t + 2)),
+            q,
+            order,
+        )
+    )
+    two = one_minus_product(phi2.times_monomial(2, 1), pref)
+
+    # (iii): (q^{t+1};q)_oo (q^2;q)_oo / ((q^{t+2};q)_oo (q;q)_oo)
+    phi3 = phi(
+        PhiSpec(
+            (q, QMonomial(-1, 1), QMonomial(1, 1 - t)),
+            (QMonomial(-1, 2), QMonomial(1, 2)),
+            QMonomial(1, t + 1),
+            order,
+        )
+    )
+    products = [
+        *((1, k, 1) for k in range(t + 1, order)),
+        *((1, k, 1) for k in range(2, order)),
+        *((1, k, -1) for k in range(t + 2, order)),
+        *((1, k, -1) for k in range(1, order)),
+    ]
+    three = one_minus_product(phi3.times_monomial(2, 1), [*pref, *products])
+
+    # (iv) doubled: (-q;q)_t/((1-q^t)(q;q)_t) * (1 - 2phi1)
+    phi4 = phi(
+        PhiSpec(
+            (QMonomial(-1, 0), QMonomial(1, -t)),
+            (QMonomial(-1, 1),),
+            QMonomial(1, t + 1),
+            prec,
+        )
+    )
+    four = one_minus_product(one(prec) - phi4, [*_ratio_factors(1, t), (1, t, -1)])
+
+    return [_built(gf_g_direct, t, prec), two, three, four, _built(gf_G, t, prec)]
 
 
 def proof_chain_theorem1(
@@ -441,73 +567,24 @@ def proof_chain_theorem1(
     (iv)  -(-q;q)_t/(2(1-q^t)(q;q)_t) * (2phi1(-1, q^{-t}; -q; q^{t+1}) - 1)
     (v)   gf_G(t)/2
 
+    The steps are compared doubled, on int series (see _chain_steps and
+    _halves_report).
+
     perturb_step (1-5) is a test hook multiplying that step by (1 + q) to
     force a mismatch.
     """
     _require_order(order)
     if t < 1:
         raise ValueError(f"proof chain needs t >= 1, got {t}")
-    prec = order + 1
-    # (i): B_m = G_m/2, the gf_g_direct summands halved.
-    steps = [gf_g_direct(t, prec).scale(_HALF)]
-
-    # The prefactor q(-q;q)_t/((1+q)(q;q)_{t+1}) of (ii) and (iii).
-    pref = _times_ratio(monomial(1, 1, prec), 1, t)
-    pref = div_one_minus(div_one_minus(pref, 1, t + 1), -1, 1)
-
-    # (ii)
-    q = QMonomial(1, 1)
-    phi2 = phi(
-        PhiSpec(
-            (q, q, QMonomial(-1, t + 1)),
-            (QMonomial(-1, 2), QMonomial(1, t + 2)),
-            q,
-            prec,
-        )
-    )
-    steps.append(mul(pref, phi2))
-
-    # (iii)
-    phi3 = phi(
-        PhiSpec(
-            (q, QMonomial(-1, 1), QMonomial(1, 1 - t)),
-            (QMonomial(-1, 2), QMonomial(1, 2)),
-            QMonomial(1, t + 1),
-            prec,
-        )
-    )
-    num = mul(
-        pochhammer_inf(QMonomial(1, t + 1), prec), pochhammer_inf(QMonomial(1, 2), prec)
-    )
-    den = mul(
-        pochhammer_inf(QMonomial(1, t + 2), prec), pochhammer_inf(q, prec)
-    )
-    steps.append(mul(mul(pref, div(num, den)), phi3))
-
-    # (iv)
-    phi4 = phi(
-        PhiSpec(
-            (QMonomial(-1, 0), QMonomial(1, -t)),
-            (QMonomial(-1, 1),),
-            QMonomial(1, t + 1),
-            prec,
-        )
-    )
-    f = div_one_minus(_times_ratio(one(prec), 1, t), 1, t)
-    steps.append(mul(f, add(phi4, one(prec).scale(-1))).scale(Fraction(-1, 2)))
-
-    # (v)
-    steps.append(gf_G(t, prec).scale(_HALF))
-
+    if perturb_step is not None and not 1 <= perturb_step <= 5:
+        raise ValueError("perturb_step must be in 1..5")
+    steps = _chain_steps(t, order)
     if perturb_step is not None:
-        if not 1 <= perturb_step <= 5:
-            raise ValueError("perturb_step must be in 1..5")
         steps[perturb_step - 1] = mul_one_minus(steps[perturb_step - 1], -1, 1)
-
-    return comparison_report(
+    return _halves_report(
         IdentityCheck("proofchain", {"t": t}, order),
         f"all five expressions agree pairwise to order {order}",
-        *[(steps[i], steps[i + 1],
+        *[((steps[i], _CHAIN_FRACS[i]), (steps[i + 1], _CHAIN_FRACS[i + 1]),
            f"step {_CHAIN_LABELS[i]} deviates from step {_CHAIN_LABELS[i + 1]}")
           for i in range(4)],
     )
@@ -523,7 +600,7 @@ def check_corollary(t: int, n_max: int) -> VerificationReport:
         raise ValueError(f"corollary needs t >= 0, got {t}")
     if n_max < 1:
         raise ValueError(f"corollary needs n_max >= 1, got {n_max}")
-    series = gf_pbar(t, n_max + 1)
+    series = _built(gf_pbar, t, n_max + 1)
     check = IdentityCheck("corollary", {"t": t, "n_max": n_max}, n_max)
     for n in range(1, n_max + 1):
         v = series.coeff(n)
@@ -581,22 +658,31 @@ def run_checks(
     "all" the families whose minimum exceeds t_max are skipped.
 
     inject_mismatch corrupts the th1 closed form (test hook).
+
+    The checks of one call share their gf_pbar, gf_G, gf_g_direct and
+    gf_pbar_direct series: each (builder, args) is built once (see
+    _built), and the memo is dropped when the call returns.
     """
+    global _memo
     _require_order(order)
     if selector != "all" and selector not in CHECKS:
         raise ValueError(f"unknown check {selector!r}")
     names = ALL_CHECKS if selector == "all" else (selector,)
     reports: list[VerificationReport] = []
-    for name in names:
-        lo, runner = CHECKS[name]
-        if t_max < lo:
-            if selector == "all":
-                continue
-            raise ValueError(
-                f"check {name!r} needs t_max >= {lo}, got {t_max}"
-            )
-        # Largest t first: its oracle walk covers every smaller t.
-        for t in range(t_max, lo - 1, -1):
-            reports.append(runner(t, order, inject_mismatch))
+    _memo = {}
+    try:
+        for name in names:
+            lo, runner = CHECKS[name]
+            if t_max < lo:
+                if selector == "all":
+                    continue
+                raise ValueError(
+                    f"check {name!r} needs t_max >= {lo}, got {t_max}"
+                )
+            # Largest t first: its oracle walk covers every smaller t.
+            for t in range(t_max, lo - 1, -1):
+                reports.append(runner(t, order, inject_mismatch))
+    finally:
+        _memo = None
     reports.sort(key=lambda r: r.sort_key())
     return reports

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Iterable
+from itertools import accumulate, repeat
 
 from . import kernels
 from .reports import IdentityCheck, comparison_report
@@ -23,11 +24,11 @@ from .series import (
     QMonomial,
     QSeries,
     QSeriesError,
-    add,
+    _div,
     div,
-    div_one_minus,
     mul_one_minus,
     one,
+    one_minus_chain,
     one_minus_product,
 )
 
@@ -272,6 +273,14 @@ def phi(spec: PhiSpec) -> QSeries:
     vanishes on the whole requested window.  A series that has not settled
     after prec + 16 terms is rejected.
 
+    The terms and their sum are plain lists, each with a window start.
+    Each term comes from the one before it by one ``one_minus_chain`` over
+    the update's factors, in which a factor and its inverse cancel when
+    everything is an int; a factor with k <= 0 becomes a k >= 1 factor
+    times a scalar and a shift, which are applied once per term, with the
+    argument's.  The term is added into the sum in place.  Every
+    coefficient gets the value and type it gets one factor at a time.
+
     Raises:
         PhiDivisionError: a lower parameter is q^{-k} with k >= 0, so a
             denominator Pochhammer factor vanishes.
@@ -298,65 +307,84 @@ def phi(spec: PhiSpec) -> QSeries:
             )
     horizon = n_stop if n_stop is not None else prec + 16
 
-    # Negative-exponent parameter factors shift term windows downward; pad
-    # the working precision so the requested window survives every shift.
-    drift = 0
-    for k in range(horizon + 1):
-        for u in ups:
-            drift += max(0, -(u.exp + k))
-        for b in lows:
-            drift += max(0, -(b.exp + k))
-    drift += (horizon + 1) * max(0, -z.exp)
-    if s_minus_r < 0:
-        drift += (-s_minus_r) * horizon * (horizon + 1) // 2
-    work = prec + drift
+    # Term n+1's window is term n's moved by z's exponent, n(s - r), and k
+    # (upper) or -k (lower) for each parameter factor with k = exp + n < 0.
+    # The working width covers the lowest start the windows reach.  Only
+    # when no move is downward can entries at prec and above be dropped:
+    # none of them ever comes back into the window.
+    moves = [z.exp + n * s_minus_r for n in range(horizon + 1)]
+    for params, e in ((ups, 1), (lows, -1)):
+        for p in params:
+            for n in range(min(horizon + 1, -p.exp)):
+                moves[n] += e * (p.exp + n)
+    falls = min(moves) < 0
+    work = prec - min(accumulate(moves, initial=0))
 
-    # From the first n with low + n >= 1 on, every factor of a term update
-    # has k >= 1 and the update is one chain.
-    low = min((p.exp for p in (*ups, *lows)), default=1)
-    term = one(work)
-    acc = term
+    # The term is the list c on the window [lo, lo + len(c)), the sum the
+    # list acc on [acc_lo, acc_lo + len(acc)).
+    c = list(one(work).coeffs)
+    lo = 0
+    acc = list(c)
+    acc_lo = 0
+    sign = -1 if s_minus_r % 2 else 1
+    settled = False
     n = 0
     while True:
         if n_stop is not None and n >= n_stop:
             break
-        if low + n >= 1:
-            term = one_minus_product(
-                term,
-                [(u.coeff, u.exp + n, 1) for u in ups] + [(1, n + 1, -1)]
-                + [(b.coeff, b.exp + n, -1) for b in lows],
-            )
-        else:
-            for u in ups:
-                term = mul_one_minus(term, u.coeff, u.exp + n)
-            term = div_one_minus(term, 1, n + 1)
-            for b in lows:
-                term = div_one_minus(term, b.coeff, b.exp + n)
-        if s_minus_r:
-            sign = -1 if s_minus_r % 2 else 1
-            term = term.times_monomial(sign, n * s_minus_r)
-        term = term.times_monomial(z.coeff, z.exp)
-        if not drift:
-            # No factor shifts a term down, so entries at prec and above
-            # never reach the window: drop them.
-            term = term.truncate(prec)
+        # Term n+1 is term n times z (-1)^{s-r} q^{n(s-r)} and these
+        # factors (e = +1 on top, -1 below):
+        factors = ([(u.coeff, u.exp + n, 1) for u in ups] + [(1, n + 1, -1)]
+                   + [(b.coeff, b.exp + n, -1) for b in lows])
+        scalar = z.coeff * sign if s_minus_r else z.coeff
+        shift = z.exp + n * s_minus_r
+        chain = []
+        for g, k, e in factors:
+            if k > 0:
+                chain.append((g, k, e))
+            elif k == 0:
+                # (1 - g) is never 0 here: an upper q^0 ends the sum
+                # first and a lower one was rejected above.
+                scalar *= 1 - g if e > 0 else _div(1, 1 - g)
+            else:
+                # 1 - g q^k = -g q^k (1 - q^{-k}/g)
+                inv = _div(1, g)
+                chain.append((inv, -k, e))
+                scalar *= -g if e > 0 else -inv
+                shift += k * e
+        c = one_minus_chain(c, chain)
+        # An int 1 changes nothing; a Fraction, even 1, makes every entry one.
+        if scalar != 1 or type(scalar) is not int:
+            c = list(map(operator.mul, repeat(scalar), c))
+        lo += shift
+        if not falls:
+            if lo > prec:
+                lo, c = prec, []
+            del c[prec - lo:]
         n += 1
-        acc = add(acc, term)
+        # acc += term on the common window: acc first takes int zeros below
+        # its start and is then cut at the term's end.  x + 0 keeps x's
+        # type, so every entry has the type a QSeries add would give it.
+        if lo < acc_lo:
+            acc[:0] = [0] * (acc_lo - lo)
+            acc_lo = lo
+        at = lo - acc_lo
+        del acc[at + len(c):]
+        acc[at:] = map(operator.add, acc[at:], c)
         if n_stop is None:
-            settled = (
+            # Once settled, every later n is too.
+            settled = settled or (
                 all(u.exp + n >= 0 for u in ups)
                 and all(b.exp + n >= 1 for b in lows)
                 and z.exp + n * s_minus_r >= 1
             )
-            if settled:
-                v = term.valuation()
-                if v is None or v >= prec:
-                    break
+            if settled and not any(c[: max(prec - lo, 0)]):
+                break
             if n > horizon:
                 raise NonconvergentPhiError(
                     f"phi series did not settle within {horizon} terms"
                 )
-    return acc.truncate(prec)
+    return QSeries._make(acc_lo, acc_lo + len(acc), acc).truncate(prec)
 
 
 def verify_chu(a: QMonomial, n: int, c: QMonomial, prec: int):

@@ -24,9 +24,11 @@ TypeError and is never rounded.
 
 Builders with many factors or summands do not go through one immutable
 value per step: :func:`one_minus_product` applies a whole product of
-one-minus factors in one kernel call, :func:`div` solves for a quotient by
-a unit directly, and the part sums of :mod:`.identities` add their
-summands into one int list that is wrapped once.
+one-minus factors in one kernel call, after cancelling inverse factors
+when everything is an int (:func:`one_minus_chain` does the same on a
+plain coefficient list), :func:`div` solves for a quotient by a unit
+directly, and the part sums of :mod:`.identities` add their summands into
+one int list that is wrapped once.
 """
 
 from __future__ import annotations
@@ -476,27 +478,46 @@ def _coeff_run(a: QSeries, lo: int, stop: int) -> tuple[Rational, ...]:
 # pay the generic convolution cost.
 
 
+def one_minus_chain(c, factors):
+    """The coefficient list c times prod (1 - g*q^k)**e over the exact
+    (g, k, e) in factors, e = +1 to multiply and -1 to divide, k >= 1;
+    c itself when no factor acts on it.
+
+    Factors with g = 0 or k >= len(c) are 1 on the window and are dropped.
+    When every g and every entry of c is an int, each step is exact in
+    ints and the steps commute, so a factor and its exact inverse,
+    (g, k, +1) and (g, k, -1), cancel before the one
+    ``kernels.one_minus_chain`` call.  Otherwise the factors run as given,
+    in order, so that every coefficient keeps the type it would get one
+    factor at a time.
+    """
+    n = len(c)
+    chain = [f for f in factors if f[0] and f[1] < n]
+    net: dict = {}
+    for g, k, e in chain:
+        net[g, k] = net.get((g, k), 0) + (1 if e > 0 else -1)
+    # Types are checked only when some factor would cancel.
+    if (sum(map(abs, net.values())) < len(chain)
+            and {type(f[0]) for f in chain} <= {int}
+            and {int}.issuperset(map(type, c))):
+        chain = [(g, k, 1 if e > 0 else -1)
+                 for (g, k), e in net.items() for _ in range(abs(e))]
+    return kernels.one_minus_chain(c, chain) if chain else c
+
+
 def one_minus_product(
     a: QSeries, factors: Iterable[tuple[Rational, int, int]]
 ) -> QSeries:
-    """a * prod (1 - g*q^k)**e over the (g, k, e) in factors, applied in
-    order, with e = +1 to multiply and -1 to divide and every k >= 1.
-
-    Factors with g = 0 or k at or beyond the window width are 1 on the
-    window and are dropped; the rest go to one ``kernels.one_minus_chain``
-    call, which copies the coefficients once.
-    """
-    width = a.prec - a.lo
+    """a * prod (1 - g*q^k)**e over the (g, k, e) in factors, e = +1 to
+    multiply and -1 to divide and every k >= 1, applied by one
+    :func:`one_minus_chain` call, which copies the coefficients once."""
     chain = []
     for g, k, e in factors:
         if k < 1:
             raise ValueError(f"one_minus_product needs k >= 1, got {k}")
-        g = _coerce(g)
-        if g and k < width:
-            chain.append((g, k, e))
-    if not chain:
-        return a
-    return QSeries._make(a.lo, a.prec, kernels.one_minus_chain(a.coeffs, chain))
+        chain.append((_coerce(g), k, e))
+    out = one_minus_chain(a.coeffs, chain)
+    return a if out is a.coeffs else QSeries._make(a.lo, a.prec, out)
 
 
 def mul_one_minus(a: QSeries, g: Rational, k: int) -> QSeries:

@@ -5,6 +5,7 @@ the check runner's report plumbing."""
 
 import json
 import operator
+import sys
 from fractions import Fraction
 from functools import reduce
 from math import isqrt
@@ -14,7 +15,11 @@ import pytest
 from overq import identities, kernels, qfunctions
 from overq.enumeration import divisor_count, oracle_series, over_qbinom_box_oracle
 from overq.identities import (
+    _CHAIN_LABELS,
     ALL_CHECKS,
+    _case_two_direct,
+    _largest_part_sum,
+    _ratio_minus_one,
     check_abr,
     check_bk,
     check_corollary,
@@ -35,14 +40,17 @@ from overq.identities import (
     proof_chain_theorem1,
     run_checks,
 )
+from overq.qfunctions import PhiSpec, over_qbinom_ints, phi, pochhammer_inf
 from overq.series import (
     QMonomial,
     QSeries,
     add,
     coeff,
+    div,
     div_one_minus,
     equal_to_order,
     monomial,
+    mul,
     mul_one_minus,
     one,
     zero,
@@ -492,8 +500,9 @@ def test_check_suite_builds_one_ladder_and_no_explicit_sum(monkeypatch, capsys):
 
 def test_quotients_solve_directly_with_no_inverse(monkeypatch, capsys):
     # (-q;q)_oo/(q;q)_oo divides by a series with constant term 1, so it is
-    # solved for directly: no reciprocal and no product.  Neither does any
-    # check of `verify --check all` invert a series.
+    # solved for directly: no reciprocal and no product.  No check of
+    # `verify --check all` inverts or multiplies two series either: the
+    # proof chain's steps are factor chains on their phi series.
     from overq import cli
 
     calls = []
@@ -507,7 +516,7 @@ def test_quotients_solve_directly_with_no_inverse(monkeypatch, capsys):
     assert total.coeffs[:6] == (1, 2, 4, 8, 14, 24)
     assert cli.main(["verify", "--check", "all"]) == 0
     assert "0 fail, 0 error" in capsys.readouterr().out
-    assert "convolve" in calls and "invert_unit" not in calls
+    assert calls == []
 
 
 def test_corrupt_hook_reports_first_mismatch():
@@ -516,6 +525,150 @@ def test_corrupt_hook_reports_first_mismatch():
     assert report.first_mismatch is not None
     assert report.first_mismatch.exponent == 2
     assert not report.passed
+
+
+# -- the doubled proof-chain and three-case series against their Fraction halves ----
+#
+# The bodies below are the step series the two checks compared before they
+# compared doubled int series, kept verbatim as references.  _times_ratio
+# is the uncapped reference above, equal to the builder's in window, values
+# and types.
+
+_HALF = Fraction(1, 2)
+
+
+def reference_chain_steps(t, order):
+    prec = order + 1
+    # (i): B_m = G_m/2, the gf_g_direct summands halved.
+    steps = [gf_g_direct(t, prec).scale(_HALF)]
+
+    # The prefactor q(-q;q)_t/((1+q)(q;q)_{t+1}) of (ii) and (iii).
+    pref = _times_ratio(monomial(1, 1, prec), 1, t)
+    pref = div_one_minus(div_one_minus(pref, 1, t + 1), -1, 1)
+
+    # (ii)
+    q = QMonomial(1, 1)
+    phi2 = phi(
+        PhiSpec(
+            (q, q, QMonomial(-1, t + 1)),
+            (QMonomial(-1, 2), QMonomial(1, t + 2)),
+            q,
+            prec,
+        )
+    )
+    steps.append(mul(pref, phi2))
+
+    # (iii)
+    phi3 = phi(
+        PhiSpec(
+            (q, QMonomial(-1, 1), QMonomial(1, 1 - t)),
+            (QMonomial(-1, 2), QMonomial(1, 2)),
+            QMonomial(1, t + 1),
+            prec,
+        )
+    )
+    num = mul(
+        pochhammer_inf(QMonomial(1, t + 1), prec), pochhammer_inf(QMonomial(1, 2), prec)
+    )
+    den = mul(
+        pochhammer_inf(QMonomial(1, t + 2), prec), pochhammer_inf(q, prec)
+    )
+    steps.append(mul(mul(pref, div(num, den)), phi3))
+
+    # (iv)
+    phi4 = phi(
+        PhiSpec(
+            (QMonomial(-1, 0), QMonomial(1, -t)),
+            (QMonomial(-1, 1),),
+            QMonomial(1, t + 1),
+            prec,
+        )
+    )
+    f = div_one_minus(_times_ratio(one(prec), 1, t), 1, t)
+    steps.append(mul(f, add(phi4, one(prec).scale(-1))).scale(Fraction(-1, 2)))
+
+    # (v)
+    steps.append(gf_G(t, prec).scale(_HALF))
+    return steps
+
+
+def reference_case_sides(t, order):
+    prec = order + 1
+    full = gf_pbar(t, prec)
+    case1 = _ratio_minus_one(t, prec)
+    case2 = add(full, gf_pbar(t - 1, prec).scale(-1)).scale(_HALF)
+    case3 = _largest_part_sum(
+        lambda r: list(map(operator.sub, over_qbinom_ints(t, r, prec - r),
+                           over_qbinom_ints(t - 1, r, prec - r))),
+        prec,
+    )
+    return (case2, _case_two_direct(t, prec), add(add(case1, case2), case3), full)
+
+
+def assert_twice(new, half, what):
+    """new is 2 * half on the same window, as an int series."""
+    assert (new.lo, new.prec) == (half.lo, half.prec), what
+    assert new.coeffs == tuple(2 * c for c in half.coeffs), what
+    assert all(type(c) is int for c in new.coeffs), what
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 5, 17, 60, 120])
+def test_chain_steps_and_case_sides_are_twice_their_fraction_halves(order):
+    for t in range(1, 11):
+        for i, (new, half) in enumerate(zip(identities._chain_steps(t, order),
+                                            reference_chain_steps(t, order))):
+            assert_twice(new, half, (t, order, _CHAIN_LABELS[i]))
+            # The halves were Fractions exactly where the report halves back
+            # to a Fraction.
+            assert {type(c) for c in half.coeffs} <= (
+                {Fraction} if identities._CHAIN_FRACS[i] else {int}), (t, order, i)
+        for i, (new, half) in enumerate(zip(identities._case_sides(t, order + 1),
+                                            reference_case_sides(t, order))):
+            assert_twice(new, half, (t, order, "cases", i))
+
+
+def _first_mismatch(pairs, order):
+    for lhs, rhs in pairs:
+        equal, mismatch = equal_to_order(lhs, rhs, order)
+        if not equal:
+            return mismatch
+    return None
+
+
+def _same_mismatch(got, want):
+    assert got == want
+    assert list(map(type, got)) == list(map(type, want))
+
+
+@pytest.mark.parametrize("step", [1, 2, 3, 4, 5])
+def test_a_chain_mismatch_is_halved_back_to_the_value_and_type_of_the_halves(step):
+    t, order = 3, 14
+    steps = reference_chain_steps(t, order)
+    steps[step - 1] = mul_one_minus(steps[step - 1], -1, 1)
+    want = _first_mismatch(zip(steps, steps[1:]), order)
+    got = proof_chain_theorem1(t, order, perturb_step=step).first_mismatch
+    _same_mismatch(got, want)
+
+
+@pytest.mark.parametrize("only_t", [True, False])
+def test_a_cases_mismatch_is_halved_back_to_the_value_and_type_of_the_halves(
+    monkeypatch, only_t
+):
+    # Bumping gf_pbar(t) alone breaks case (2); bumping every gf_pbar keeps
+    # case (2) and breaks the sum.
+    t, order = 3, 14
+    real = identities.gf_pbar
+
+    def bumped(s, prec):
+        out = real(s, prec)
+        return out + monomial(3, 7, prec) if s == t or not only_t else out
+
+    monkeypatch.setattr(identities, "gf_pbar", bumped)
+    monkeypatch.setattr(sys.modules[__name__], "gf_pbar", bumped)
+    case2, direct, total, full = reference_case_sides(t, order)
+    want = _first_mismatch([(case2, direct), (total, full)], order)
+    assert type(want.lhs) is Fraction and type(want.rhs) is int
+    _same_mismatch(check_three_cases(t, order).first_mismatch, want)
 
 
 def test_proof_chain_passes():
@@ -734,6 +887,47 @@ def test_run_checks_looks_each_check_up_at_call_time(monkeypatch):
     reports = run_checks("bk", 3, 12)
     assert seen == [3, 2, 1]
     assert all(r.passed for r in reports)
+
+
+def _count_builds(monkeypatch, *names):
+    """Wrap identities builders to record the args of every build."""
+    builds = {name: [] for name in names}
+    for name in names:
+        real = getattr(identities, name)
+        monkeypatch.setattr(identities, name, lambda *args, _real=real,
+                            _seen=builds[name]: _seen.append(args) or _real(*args))
+    return builds
+
+
+def test_verify_all_builds_each_shared_series_once(monkeypatch, capsys):
+    from overq import cli
+
+    builds = _count_builds(monkeypatch, "gf_pbar", "gf_G", "gf_g_direct",
+                           "gf_pbar_direct")
+    assert cli.main(["verify", "--check", "all"]) == 0
+    assert "0 fail, 0 error" in capsys.readouterr().out
+    # th2, relation, oqbinom, cases and corollary all read gf_pbar(t, 61):
+    # one build per t <= 8 instead of 59.
+    assert sorted(builds["gf_pbar"]) == [(t, 61) for t in range(9)]
+    assert sorted(builds["gf_G"]) == [(t, 61) for t in range(1, 9)]
+    assert sorted(builds["gf_g_direct"]) == [(t, 61) for t in range(1, 9)]
+    assert sorted(builds["gf_pbar_direct"]) == [(t, 61) for t in range(9)]
+    assert identities._memo is None
+
+
+def test_a_builder_replaced_between_run_checks_calls_is_used(monkeypatch):
+    builds = _count_builds(monkeypatch, "gf_G")
+    assert all(r.passed for r in run_checks("relation", 2, 12))
+    assert builds["gf_G"] == [(2, 13), (1, 13)]
+    # The memo lives for one call: the next one builds afresh, with the
+    # builder the module names then.
+    bumped = []
+    monkeypatch.setattr(identities, "gf_G", lambda t, prec: (
+        bumped.append((t, prec)) or gf_G(t, prec) + monomial(1, 5, prec)))
+    reports = run_checks("relation", 2, 12)
+    assert bumped == [(2, 13), (1, 13)]
+    assert [r.status for r in reports] == ["fail", "fail"]
+    assert identities._memo is None
 
 
 def test_run_checks_all_is_sorted_and_passes():

@@ -2,10 +2,13 @@
 its ladder and the box walk), and the phi evaluator."""
 
 import operator
+import re
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from overq import kernels, qfunctions
 from overq.enumeration import iter_partitions, over_qbinom_box_oracle
@@ -17,6 +20,7 @@ from overq.qfunctions import (
     NonconvergentProductError,
     PhiDivisionError,
     PhiSpec,
+    _termination_index,
     over_qbinom_ladder,
     over_qbinom_sum,
     phi,
@@ -27,6 +31,8 @@ from overq.qfunctions import (
 )
 from overq.series import (
     QMonomial,
+    QSeriesError,
+    add,
     coeff,
     div,
     div_one_minus,
@@ -36,6 +42,7 @@ from overq.series import (
     mul,
     mul_one_minus,
     one,
+    one_minus_product,
 )
 
 Q = QMonomial(1, 1)
@@ -404,6 +411,199 @@ def test_phi_rejects_nonterminating_constant_argument():
 def test_phi_rejects_surplus_upper_parameters():
     with pytest.raises(NonconvergentPhiError):
         phi(PhiSpec((Q, Q, Q), (MINUS_Q,), Q, 6))
+
+
+# -- phi against its former per-term QSeries loop ------------------------------------
+
+
+def reference_phi(spec):
+    """The body phi had before it ran on one int list, kept verbatim."""
+    ups, lows, z, prec = spec.upper, spec.lower, spec.argument, spec.prec
+    for b in lows:
+        if b.coeff == 1 and b.exp <= 0:
+            raise PhiDivisionError(
+                f"lower parameter {b} vanishes inside its Pochhammer factor"
+            )
+    s_minus_r = len(lows) - (len(ups) - 1)
+    n_stop = _termination_index(ups)
+    if n_stop is None:
+        if s_minus_r < 0:
+            raise NonconvergentPhiError(
+                "more upper than lower parameters: terms lose valuation"
+            )
+        if s_minus_r == 0 and z.exp < 1:
+            raise NonconvergentPhiError(
+                f"argument {z} has exponent < 1 and the series does not terminate"
+            )
+    horizon = n_stop if n_stop is not None else prec + 16
+
+    # Negative-exponent parameter factors shift term windows downward; pad
+    # the working precision so the requested window survives every shift.
+    drift = 0
+    for k in range(horizon + 1):
+        for u in ups:
+            drift += max(0, -(u.exp + k))
+        for b in lows:
+            drift += max(0, -(b.exp + k))
+    drift += (horizon + 1) * max(0, -z.exp)
+    if s_minus_r < 0:
+        drift += (-s_minus_r) * horizon * (horizon + 1) // 2
+    work = prec + drift
+
+    # From the first n with low + n >= 1 on, every factor of a term update
+    # has k >= 1 and the update is one chain.
+    low = min((p.exp for p in (*ups, *lows)), default=1)
+    term = one(work)
+    acc = term
+    n = 0
+    while True:
+        if n_stop is not None and n >= n_stop:
+            break
+        if low + n >= 1:
+            term = one_minus_product(
+                term,
+                [(u.coeff, u.exp + n, 1) for u in ups] + [(1, n + 1, -1)]
+                + [(b.coeff, b.exp + n, -1) for b in lows],
+            )
+        else:
+            for u in ups:
+                term = mul_one_minus(term, u.coeff, u.exp + n)
+            term = div_one_minus(term, 1, n + 1)
+            for b in lows:
+                term = div_one_minus(term, b.coeff, b.exp + n)
+        if s_minus_r:
+            sign = -1 if s_minus_r % 2 else 1
+            term = term.times_monomial(sign, n * s_minus_r)
+        term = term.times_monomial(z.coeff, z.exp)
+        if not drift:
+            # No factor shifts a term down, so entries at prec and above
+            # never reach the window: drop them.
+            term = term.truncate(prec)
+        n += 1
+        acc = add(acc, term)
+        if n_stop is None:
+            settled = (
+                all(u.exp + n >= 0 for u in ups)
+                and all(b.exp + n >= 1 for b in lows)
+                and z.exp + n * s_minus_r >= 1
+            )
+            if settled:
+                v = term.valuation()
+                if v is None or v >= prec:
+                    break
+            if n > horizon:
+                raise NonconvergentPhiError(
+                    f"phi series did not settle within {horizon} terms"
+                )
+    return acc.truncate(prec)
+
+
+def assert_same_phi(spec):
+    """phi(spec) and reference_phi(spec) give the same window, values and
+    coefficient types, or raise the same error with the same message."""
+    try:
+        want = reference_phi(spec)
+    except QSeriesError as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            phi(spec)
+        return
+    got = phi(spec)
+    assert (got.lo, got.prec, got.coeffs) == (want.lo, want.prec, want.coeffs)
+    assert list(map(type, got.coeffs)) == list(map(type, want.coeffs))
+
+
+def chain_and_chu_specs(t, prec):
+    """The PhiSpecs of proof-chain steps (ii)-(iv) and of the chu check at
+    termination index t, all at prec."""
+    return [
+        PhiSpec((Q, Q, QMonomial(-1, t + 1)), (QMonomial(-1, 2), QMonomial(1, t + 2)),
+                Q, prec),
+        PhiSpec((Q, MINUS_Q, QMonomial(1, 1 - t)), (QMonomial(-1, 2), QMonomial(1, 2)),
+                QMonomial(1, t + 1), prec),
+        PhiSpec((MINUS_ONE, QMonomial(1, -t)), (MINUS_Q,), QMonomial(1, t + 1), prec),
+        PhiSpec((MINUS_ONE, QMonomial(1, -t)), (MINUS_Q,),
+                (MINUS_Q * QMonomial(1, t)) / MINUS_ONE, prec),
+    ]
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 5, 17, 60, 120])
+def test_phi_matches_the_per_term_loop_on_the_chain_and_chu_specs(order):
+    # The proof chain builds (ii) and (iii) at prec = order, the chu check
+    # at order + 1; both are covered, and t = 0 for chu.
+    for t in range(0, 11):
+        for prec in (order, order + 1):
+            for spec in chain_and_chu_specs(t, prec)[0 if t else 3:]:
+                got = phi(spec)
+                assert all(type(c) is int for c in got.coeffs), (t, prec)
+                assert_same_phi(spec)
+
+
+@pytest.mark.parametrize("spec", [
+    # negative exponents: terminating sums with argument exponent <= 0, and
+    # lower parameters below q^1 with a coefficient other than 1
+    PhiSpec((QMonomial(1, 2), QMonomial(1, -2)), (QMonomial(-1, 2),),
+            QMonomial(1, -1), 8),
+    PhiSpec((QMonomial(3, -2), QMonomial(1, -3)), (QMonomial(-2, -1),),
+            QMonomial(1, 1), 9),
+    PhiSpec((QMonomial(-1, -1),), (QMonomial(2, 0),), QMonomial(-1, 2), 10),
+    PhiSpec((Q, QMonomial(1, -4)), (QMonomial(-1, -2), MINUS_Q),
+            QMonomial(1, -3), 7),
+    # non-+-1 coefficients, in the parameters and in the argument
+    PhiSpec((QMonomial(2, 1), QMonomial(-3, 2)), (QMonomial(5, 1),),
+            QMonomial(1, 1), 12),
+    PhiSpec((QMonomial(Fraction(1, 2), 1),), (QMonomial(-1, 2),),
+            QMonomial(3, 1), 11),
+    PhiSpec((Q, Q), (MINUS_Q,), QMonomial(Fraction(-2, 3), 1), 9),
+    PhiSpec((QMonomial(2, 0), QMonomial(1, -2)), (QMonomial(3, 1),),
+            QMonomial(2, 1), 8),
+    # more lower than upper parameters: the (-1)^n q^{n(n-1)/2} factor
+    PhiSpec((Q,), (MINUS_Q, QMonomial(1, 3)), QMonomial(-1, 0), 10),
+    PhiSpec((), (QMonomial(2, 1),), QMonomial(1, -2), 9),
+    # a term window that drops past prec before the sum settles
+    PhiSpec((Q,), (), QMonomial(1, 4), 3),
+])
+def test_phi_matches_the_per_term_loop_off_the_chain(spec):
+    assert_same_phi(spec)
+
+
+_MONOMIALS = st.builds(
+    QMonomial,
+    st.sampled_from((1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 2))),
+    st.integers(-3, 3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ups=st.lists(_MONOMIALS, max_size=3),
+    lows=st.lists(_MONOMIALS, max_size=2),
+    z=_MONOMIALS,
+    prec=st.integers(1, 10),
+)
+def test_phi_matches_the_per_term_loop_on_random_specs(ups, lows, z, prec):
+    assert_same_phi(PhiSpec(ups, lows, z, prec))
+
+
+def test_phi_error_messages_are_pinned():
+    for bad, shown in ((QMonomial(1, 0), "1"), (QMonomial(1, -2), "q^-2")):
+        with pytest.raises(PhiDivisionError, match=re.escape(
+                f"lower parameter {shown} vanishes inside its Pochhammer factor")):
+            phi(PhiSpec((Q,), (bad,), QMonomial(1, 2), 6))
+    cases = [
+        (PhiSpec((Q, Q, Q), (MINUS_Q,), Q, 6),
+         "more upper than lower parameters: terms lose valuation"),
+        (PhiSpec((Q, Q), (MINUS_Q,), QMonomial(1, 0), 6),
+         "argument 1 has exponent < 1 and the series does not terminate"),
+        (PhiSpec((Q, Q), (MINUS_Q,), QMonomial(-2, -1), 6),
+         "argument -2*q^-1 has exponent < 1 and the series does not terminate"),
+        # q^{n(n-1)/2} q^{-40 n} gains valuation only after 40 terms
+        (PhiSpec((Q,), (MINUS_Q,), QMonomial(1, -40), 4),
+         "phi series did not settle within 20 terms"),
+    ]
+    for spec, message in cases:
+        with pytest.raises(NonconvergentPhiError, match=f"^{re.escape(message)}$"):
+            phi(spec)
+        assert_same_phi(spec)
 
 
 # -- q-Chu-Vandermonde -------------------------------------------------------------

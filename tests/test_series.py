@@ -29,6 +29,7 @@ from overq.series import (
     mul,
     mul_one_minus,
     one,
+    one_minus_product,
     zero,
 )
 from overq.series import _coerce, _div
@@ -543,6 +544,62 @@ def test_one_minus_helpers_skip_factors_beyond_the_window(monkeypatch):
     mul_one_minus(a, 2, 4)
     div_one_minus(a, 2, 4)
     assert calls == [(5, 4), (5, 4)]
+
+
+# -- one_minus_product against one factor at a time -------------------------------
+
+
+def one_factor_at_a_time(a, factors):
+    for g, k, e in factors:
+        a = mul_one_minus(a, g, k) if e > 0 else div_one_minus(a, g, k)
+    return a
+
+
+@st.composite
+def factor_lists(draw):
+    """Factors (g, k, e) with k from 1 to past every drawn window width,
+    then some of them repeated and some followed by their inverses, all
+    shuffled."""
+    base = draw(st.lists(st.tuples(
+        st.sampled_from((1, -1, 2, -3, 0, F(1, 2), F(-3, 1))),
+        st.integers(1, 12),
+        st.sampled_from((1, -1)),
+    ), max_size=6))
+    repeats = draw(st.lists(st.sampled_from(base), max_size=4)) if base else []
+    inverses = [(g, k, -e) for g, k, e in
+                (draw(st.lists(st.sampled_from(base), max_size=4)) if base else [])]
+    return draw(st.permutations(base + repeats + inverses))
+
+
+@settings(max_examples=400, deadline=None)
+@given(a=st.one_of(int_series(), windowed_series()), factors=factor_lists())
+def test_one_minus_product_matches_one_factor_at_a_time(a, factors):
+    got = one_minus_product(a, factors)
+    want = one_factor_at_a_time(a, factors)
+    assert (got.lo, got.prec, got.coeffs) == (want.lo, want.prec, want.coeffs)
+    assert list(map(type, got.coeffs)) == list(map(type, want.coeffs))
+
+
+def test_one_minus_product_cancels_inverse_int_factors_only(monkeypatch):
+    a = QSeries(0, 8, [1, 2, 0, -1, 4, 0, 0, 3])
+    both = [(1, 3, 1), (2, 5, -1), (1, 3, -1), (-1, 2, 1), (-1, 2, 1), (-1, 2, -1)]
+    want = one_factor_at_a_time(a, both)
+    chains = []
+    real = kernels.one_minus_chain
+    monkeypatch.setattr(kernels, "one_minus_chain", lambda c, factors: (
+        chains.append(list(factors)) or real(c, factors)))
+    assert one_minus_product(a, both) == want
+    assert chains == [[(2, 5, -1), (-1, 2, 1)]]
+    # Every factor cancels: no kernel call, and a itself comes back.
+    assert one_minus_product(a, [(3, 2, 1), (3, 2, -1)]) is a
+    assert len(chains) == 1
+    # A Fraction g, or a Fraction coefficient, runs every factor as given.
+    chains.clear()
+    half = [(F(1, 2), 3, 1), (F(1, 2), 3, -1)]
+    assert one_minus_product(a, half) == a
+    mixed = QSeries(0, 8, [F(1, 2), *a.coeffs[1:]])
+    one_minus_product(mixed, both[:3])
+    assert chains == [half, both[:3]]
 
 
 # -- equal_to_order against its per-exponent loop -----------------------------------
