@@ -8,10 +8,14 @@ partition with d distinct values yields 2**d overpartitions.  The spread of
 a partition is its largest part minus its smallest.
 
 The spread statistics share one held walk that counts partitions by exact
-spread and number of distinct values; every statistic and every spread
-bound it covers follows by weighted sums over its rows (see
-``kernels.HeldTable`` for when it walks again).  The overpartition totals
-hold a walk of their own.
+spread and number of distinct values.  The walk lists every multiset of
+parts strictly between the largest and the smallest part on its own and
+counts the copies of both end parts in bulk (see
+``kernels.window_diff_counts``).  Its table is held as every statistic at
+every spread bound it covers, made once by weighted row sums and running
+sums over the spread (``_spread_statistics``), so a request reads a slice;
+see ``kernels.HeldTable`` for when it walks again.  The overpartition
+totals hold a walk of their own.
 :func:`iter_overpartitions` is a second, independent strategy that
 materializes every overline choice and is used to cross-check the weighted
 walks at small sizes.
@@ -20,6 +24,8 @@ walks at small sizes.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from itertools import repeat
+from operator import add, mul
 
 from . import kernels
 from .series import QSeries
@@ -56,35 +62,53 @@ def _require_t(t: int) -> None:
         raise ValueError(f"spread bound t must be >= 0, got {t}")
 
 
+def _spread_statistics(table: list) -> dict[str, list[list[int]]]:
+    """Every spread statistic for every bound t <= T of a spread walk's
+    table c[s][d][n] (s <= T), as weighted row sums: kind -> rows by t,
+    each indexed by n.
+
+    p_t counts partitions with spread s <= t, p_exact_t those with s == t;
+    pbar_t weighs each by 2**d (its overpartitions), and g_t does too except
+    at s == t, where the largest part may not be overlined: 2**(d-1).  So
+    each s gives two row sums, at weights 1 and 2**(d-1), and running sums
+    over s give the rest: g_t = pbar_{t-1} + the half-weighted row t.
+    """
+    width = len(table[0][0])
+    stats: dict[str, list[list[int]]] = {
+        kind: [] for kind in ("p_t", "p_exact_t", "pbar_t", "g_t")}
+    p = pbar = [0] * width
+    for rows in table:
+        exact, half = [0] * width, [0] * width
+        for d in range(1, len(rows)):
+            exact[:] = map(add, exact, rows[d])
+            half[:] = map(add, half, map(mul, repeat(1 << (d - 1)), rows[d]))
+        stats["g_t"].append(list(map(add, pbar, half)))
+        p = list(map(add, p, exact))
+        pbar = list(map(add, pbar, map(add, half, half)))
+        stats["p_t"].append(p)
+        stats["p_exact_t"].append(exact)
+        stats["pbar_t"].append(pbar)
+    return stats
+
+
 # The walks are looked up in kernels at each call, so that wrappers put
-# there see them.  c[s][d][n]: partitions of n with spread s and d distinct
-# values.  Every partition of n or less has spread below n, so a request for
-# sizes up to n asks for spread bound at most n, which gives the same
-# counts as any larger bound.
-_SPREADS = kernels.HeldTable(lambda n, t: kernels.window_diff_counts(n, t))
+# there see them.  The spread walk counts partitions by spread and number
+# of distinct values, and its table is held as the statistics it gives
+# (_spread_statistics).  Every partition of n or less has spread below n,
+# so a request for sizes up to n asks for spread bound at most n, which
+# gives the same counts as any larger bound.
+_SPREADS = kernels.HeldTable(
+    lambda n, t: _spread_statistics(kernels.window_diff_counts(n, t)))
 # Entry n: overpartitions of n.  This walk visits every spread and takes no
 # bound, so its requests leave t at 0.
 _TOTALS = kernels.HeldTable(lambda n, _t: kernels.all_partition_weighted_counts(n))
 
 
 def _spread_counts(kind: str, t: int, lo: int, hi: int) -> list[int]:
-    """Entries n = lo..hi of a spread statistic, as weighted row sums.
-
-    p_t counts partitions with spread s <= t, p_exact_t those with s == t;
-    pbar_t weighs each by 2**d (its overpartitions), and g_t does too except
-    at s == t, where the largest part may not be overlined: 2**(d-1).
-    """
+    """Entries n = lo..hi of the spread statistic kind (see
+    _spread_statistics) at bound t."""
     t = min(t, hi)
-    rows = _SPREADS.get(hi, t)
-    out = [0] * (hi + 1 - lo)
-    for s in (t,) if kind == "p_exact_t" else range(t + 1):
-        for d in range(1, len(rows[s])):
-            if kind in ("p_t", "p_exact_t"):
-                w = 1
-            else:
-                w = 1 << (d - 1 if kind == "g_t" and s == t else d)
-            out = [o + w * c for o, c in zip(out, rows[s][d][lo : hi + 1])]
-    return out
+    return _SPREADS.get(hi, t)[kind][t][lo : hi + 1]
 
 
 def count_p_bounded_diff(n: int, t: int) -> int:

@@ -15,10 +15,12 @@ Series produced here, with the weight conventions of :mod:`.enumeration`:
 * gf_pbar(t): overpartitions with spread <= t.
 * gf_overline_total: all overpartitions.
 
-Two helpers carry the paper's part sums.  ``_smallest_part_terms`` yields
-the summands over the smallest part m, each from the one before it: they
-serve the direct sums of Theorems 1 and 2, case (2) of the three-case
-split and step (i) of the proof chain.  ``_largest_part_sum`` sums
+Two helpers carry the paper's part sums.  ``_smallest_part_sums`` makes
+the direct sums over the smallest part m for every t up to a bound in one
+pass over m, each t's summand from the one before it: they serve the
+direct sums of Theorems 1 and 2, case (2) of the three-case split and step
+(i) of the proof chain, and one pass per prec is held for a whole
+``run_checks`` call (``_smallest_part_rows``).  ``_largest_part_sum`` sums
 q^r/(1-q^r) times a box polynomial over the largest part r: it serves the
 over-q-binomial expansion and case (3), which read every box from the held
 over-q-binomial ladder (``qfunctions.over_qbinom_ints``), so a request
@@ -27,7 +29,7 @@ builds its boxes in one pass however many t and r it covers.
 The part sums, ``gf_pbar`` and the factor products run on plain int
 lists: each summand is one list, each step of a product one
 ``kernels.one_minus_chain`` call, and every summand is added in place into
-one list (``_sum_from``) that is wrapped as a QSeries once, at the end.
+its sum's one list, which is wrapped as a QSeries once, at the end.
 
 Steps (ii)-(iv) of the proof chain are each one ``one_minus_product`` on
 their phi series, whose factor list spells out the step's prefactor and
@@ -41,7 +43,7 @@ one ``run_checks`` call, ``gf_pbar``, ``gf_G``, ``gf_g_direct`` and
 from __future__ import annotations
 
 import operator
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable
 from itertools import repeat
 
 from . import kernels
@@ -77,7 +79,8 @@ def _require_order(order: int) -> None:
 
 
 # The finished series of the run_checks call under way, keyed by
-# (builder, args); None outside one.
+# (builder, args), and its smallest-part pass per prec (see
+# _smallest_part_rows); None outside one.
 _memo: dict | None = None
 
 
@@ -172,6 +175,11 @@ def gf_pbar(t: int, prec: int) -> QSeries:
     return QSeries._make(0, prec, map(operator.mul, repeat(scale), acc))
 
 
+def _window_series(coeffs: list, prec: int) -> QSeries:
+    """coeffs on the window of zero(prec)."""
+    return QSeries._make(min(0, prec), prec, coeffs)
+
+
 def _sum_from(terms: Iterable[tuple[int, list]], prec: int) -> QSeries:
     """sum q^v * c over the (v, c) in terms, on the window of zero(prec).
 
@@ -181,37 +189,89 @@ def _sum_from(terms: Iterable[tuple[int, list]], prec: int) -> QSeries:
     acc = [0] * max(prec, 0)
     for v, c in terms:
         acc[v:] = map(operator.add, acc[v:], c)
-    return QSeries._make(min(0, prec), prec, acc)
+    return _window_series(acc, prec)
 
 
-def _smallest_part_terms(t: int, hi: int, prec: int) -> Iterator[list]:
-    """Yield the int coefficients of S_m on [m, prec), m = 1..prec-1, where
+def _smallest_part_sums(t_max: int, prec: int) -> tuple[list, list, list]:
+    """The direct sums over the smallest part m for every t <= t_max, made
+    in one pass over m: int coefficient lists on [0, prec), indexed by t,
 
-        S_m = 2 q^m / prod_{j=m}^{m+t} (1-q^j) * prod_{j=m+1}^{m+hi} (1+q^j)
+        pbar[t]     = sum_{m>=1} P_m(t)   (gf_pbar_direct),
+        g[t]        = sum_{m>=1} G_m(t)   (gf_g_direct, t >= 1),
+        case_two[t] = sum_{2m+t<prec} q^{m+t} G_m(t)   (case (2), t >= 1),
 
-    with hi = t for gf_pbar and hi = t - 1 for gf_G.  Each S_m is S_{m-1}
-    times q (1-q^{m-1}) (1+q^{m+hi}) / ((1-q^{m+t}) (1+q^m)): one chain on
-    S_{m-1}'s list, then the shift by q drops its last entry (a one-minus
-    factor changes no entry from the ones after it).  Each yielded list is
-    new.  S_m has valuation exactly m (checked; a RuntimeError names m if
-    not).
+    where P_m(t) = 2 q^m / prod_{j=m}^{m+t} (1-q^j) * prod_{j=m+1}^{m+t} (1+q^j)
+    and G_m(t) is P_m(t) without the factor (1+q^{m+t}); g and case_two
+    hold None at t = 0.  Each summand comes from the one before it in t:
+    P_m(0) = 2q^m/(1-q^m), G_m(t) = P_m(t-1)/(1-q^{m+t}) and
+    P_m(t) = G_m(t)(1+q^{m+t}), each one ``kernels.one_minus_chain`` call on
+    a list on [m, prec); a factor with m + t at or past the list's width is
+    1 there.  Every summand has valuation exactly m (checked; a
+    RuntimeError names m if not).
     """
-    if prec <= 1:
-        return
-    top = prec - 2  # the last k below the width of S_1's window [1, prec)
-    first = [(1, 1, -1), *_ratio_factors(2, min(1 + hi, top))]
-    first += [(1, j, -1) for j in range(2 + hi, min(1 + t, top) + 1)]
-    s = kernels.one_minus_chain([2] + [0] * top, first)
-    for m in range(1, prec):
-        if m > 1:
-            s = kernels.one_minus_chain(
-                s, ((1, m - 1, 1), (1, m + t, -1), (-1, m + hi, 1), (-1, m, -1))
-            )
-            del s[-1]
+    width = max(prec, 0)
+    pbar = [[0] * width for _ in range(t_max + 1)]
+    g = [None, *([0] * width for _ in range(t_max))]
+    case_two = [None, *([0] * width for _ in range(t_max))]
+
+    def chain(s, factor, m):
+        s = kernels.one_minus_chain(s, (factor,))
         if not s[0]:
             v = next((m + i for i, c in enumerate(s) if c), None)
             raise RuntimeError(f"summand m={m} has valuation {v}, expected {m}")
-        yield s
+        return s
+
+    # tail[j]: the summands that stay the same for every t >= j, because
+    # every factor from j on is 1 on their lists; each joins pbar[t] and
+    # g[t] for t >= j through one running sum at the end.
+    tail = [[0] * width for _ in range(t_max + 1)]
+    for m in range(1, prec):
+        s = chain([2] + [0] * (prec - m - 1), (1, m, -1), m)
+        acc = pbar[0]
+        acc[m:] = map(operator.add, acc[m:], s)
+        # m + t < prec - m exactly for t < prec - 2m, and then also
+        # 2m + t < prec: those t alone change the summand or reach case (2).
+        for t in range(1, min(prec - 2 * m, t_max + 1)):
+            k = m + t
+            s = chain(s, (1, k, -1), m)
+            acc = g[t]
+            acc[m:] = map(operator.add, acc[m:], s)
+            acc = case_two[t]
+            acc[m + k :] = map(operator.add, acc[m + k :], s)
+            s = chain(s, (-1, k, 1), m)
+            acc = pbar[t]
+            acc[m:] = map(operator.add, acc[m:], s)
+        j = max(prec - 2 * m, 1)
+        if j <= t_max:
+            acc = tail[j]
+            acc[m:] = map(operator.add, acc[m:], s)
+    run = [0] * width
+    for t in range(1, t_max + 1):
+        run[:] = map(operator.add, run, tail[t])
+        for acc in (pbar[t], g[t]):
+            acc[:] = map(operator.add, acc, run)
+    return pbar, g, case_two
+
+
+def _smallest_part_rows(t: int, prec: int) -> tuple[list, list, list]:
+    """Row t of each _smallest_part_sums list at prec: (pbar, g, case_two).
+
+    Past t = prec - 2 every summand's factors are 1 on its list and case
+    (2) is empty, so a larger t reads that row and a huge t costs no more.
+    Within one run_checks call the pass is held per prec and made again
+    only for a larger t; the checks ask for their largest t first, so one
+    pass serves every t of a request.
+    """
+    t = min(t, max(prec - 2, 1))
+    if _memo is None:
+        sums = _smallest_part_sums(t, prec)
+    else:
+        key = ("smallest parts", prec)
+        held = _memo.get(key)
+        if held is None or held[0] < t:
+            held = _memo[key] = (t, _smallest_part_sums(t, prec))
+        sums = held[1]
+    return tuple(rows[t] for rows in sums)
 
 
 def gf_pbar_direct(t: int, prec: int) -> QSeries:
@@ -224,7 +284,7 @@ def gf_pbar_direct(t: int, prec: int) -> QSeries:
     """
     if t < 0:
         raise ValueError(f"gf_pbar_direct needs t >= 0, got {t}")
-    return _sum_from(enumerate(_smallest_part_terms(t, t, prec), 1), prec)
+    return _window_series(_smallest_part_rows(t, prec)[0], prec)
 
 
 def gf_g_direct(t: int, prec: int) -> QSeries:
@@ -233,20 +293,13 @@ def gf_g_direct(t: int, prec: int) -> QSeries:
     (1+q^{m+t}) overline choice."""
     if t < 1:
         raise ValueError(f"gf_g_direct needs t >= 1, got {t}")
-    return _sum_from(enumerate(_smallest_part_terms(t, t - 1, prec), 1), prec)
+    return _window_series(_smallest_part_rows(t, prec)[1], prec)
 
 
 def _case_two_direct(t: int, prec: int) -> QSeries:
     """Case (2) of the three-case split as a direct sum: q^{m+t} G_m, with
     G_m the gf_g_direct summands, over the m with 2m + t < prec."""
-
-    def terms():
-        for m, g_m in enumerate(_smallest_part_terms(t, t - 1, prec), 1):
-            if 2 * m + t >= prec:
-                return
-            yield 2 * m + t, g_m
-
-    return _sum_from(terms(), prec)
+    return _window_series(_smallest_part_rows(t, prec)[2], prec)
 
 
 def _largest_part_sum(poly: Callable[[int], list], prec: int) -> QSeries:
@@ -661,7 +714,9 @@ def run_checks(
 
     The checks of one call share their gf_pbar, gf_G, gf_g_direct and
     gf_pbar_direct series: each (builder, args) is built once (see
-    _built), and the memo is dropped when the call returns.
+    _built), the direct sums of every t come from one smallest-part pass
+    per prec (see _smallest_part_rows), and the memo is dropped when the
+    call returns.
     """
     global _memo
     _require_order(order)

@@ -19,13 +19,19 @@ is not +-1.
 Enumeration kernels walk partition trees once per call and accumulate exact
 integer counts, so results are arbitrary precision by construction.  The
 two oracle walks (``window_diff_counts`` and
-``all_partition_weighted_counts``) visit each prefix once, on its own: a
-prefix is the multiset of every part above the smallest one a partition may
-use.  The smallest part's multiplicities are the last free choice, and they
-are counted by one running sum per walk step instead of one increment each.
-That sum is written inline and merges prefixes of equal total only for the
-smallest part, so the oracles share no code with the coefficient kernels
-and never become a DP over the product formula they are meant to check.
+``all_partition_weighted_counts``) list the parts between the end parts on
+their own, one multiset at a time, and count the copies of the end parts
+in bulk.  ``all_partition_weighted_counts`` visits every partition into
+parts >= 2 once and counts its 1s by one running sum.
+``window_diff_counts`` lists, for each largest part L, every multiset of
+interior values (strictly between the smallest part lo and L) once, after
+one copy of L; running sums along the residue classes mod lo and mod L
+then count the copies of both end parts.  Those sums are written inline in
+the walks and merge prefixes of equal total only for the end parts, whose
+copies change neither the spread nor the distinct count, so the oracles
+share no code with the coefficient kernels and never become a DP over the
+product formula they are meant to check: no interior factor is applied in
+bulk.
 
 ``HeldTable`` keeps the last table a builder made and hands it to every
 request it covers: the oracle walks and the formula side's
@@ -199,18 +205,26 @@ def window_diff_counts(n_max, t):
     since the empty partition has no smallest part.
 
     The walk runs largest part first, in the reverse-lexicographic order of
-    Knuth, TAOCP 7.2.1.4.  For each largest part L it adds values v from
-    L - 1 down to lo + 1, lo = max(1, L - t), each with multiplicity >= 1,
-    and adds 1 to c[L - v][d] per multiplicity.  Every prefix that still
-    has room for a part of size lo is visited once, on its own, and
-    recorded by its total and distinct count; those whose last value is
-    lo + 1 are recorded in the loop over that value's multiplicities,
-    without a call each.  The parts of size lo are the last free choice:
-    after L's subtree, one running sum along each residue class mod lo adds
-    every recorded prefix at total + lo, total + 2*lo, ... <= n_max to
-    c[L - lo][d].  Prefixes of equal total are merged only there, for the
-    smallest part, so the table still comes from listing partitions and not
-    from a product formula.
+    Knuth, TAOCP 7.2.1.4.  For each largest part L it lists every multiset
+    of interior values, strictly between lo = max(1, L - t) and L, each
+    value with multiplicity >= 1, after one copy of L: a value v adds 1 to
+    row (L - v, d) of a table local to L per multiplicity, so each of these
+    prefixes (L, then interior values) is recorded once, by its total, in
+    the row of its last value.  The values lo + 2 and lo + 1 are listed in
+    the loops over their multiplicities, without a call each.
+
+    Both end parts are counted in bulk, by running sums along residue
+    classes.  The further copies of L: one sum mod L over each local row
+    adds every entry at total + L, total + 2*L, ... <= n_max, and the row
+    is then added into c.  The parts of size lo: the local rows, summed over
+    the spread, give the prefixes (with any number of copies of L) by total
+    and distinct count, and one sum mod lo adds each at total + lo,
+    total + 2*lo, ... to c[L - lo].  Prefixes of equal total are merged
+    only there, for the two end parts, whose copies change neither the
+    spread nor the distinct count; every interior multiset is still listed
+    on its own, so the table comes from listing partitions and not from a
+    product formula.  Only the local rows that a partition of n_max or less
+    can reach are made.
 
     Each partition with spread at most t is counted once, in one entry, so
     any statistic of (spread, distinct values) follows by weighted sums
@@ -224,6 +238,7 @@ def window_diff_counts(n_max, t):
         for s in range(t + 1)
     ]
 
+    sink = [0] * (n_max + 1)
     for L in range(1, n_max + 1):
         row = acc[0][1]
         for tot in range(L, n_max + 1, L):
@@ -233,50 +248,86 @@ def window_diff_counts(n_max, t):
         if lo == L or L > lim:
             continue  # no smaller part fits below L
 
-        # starts[d][total]: prefixes of this total that take lo as their
-        # d-th distinct value.  The spare last row is never written; it
-        # lets the v = lo + 1 loop below look up its row unconditionally.
-        rows = acc[L - lo]
-        starts = [[0] * (n_max + 1) for _ in range(len(rows) + 1)]
+        # d_hi[s]: the most distinct values of a partition of n_max or less
+        # with largest part L and smallest L - s, whose cheapest values
+        # are L, L - s, L - s + 1, ...; 1 when L - s does not fit.
+        d_hi = [None]
+        for s in range(1, L - lo + 1):
+            d, need = 1, L
+            while d <= s and need + L - s + d - 1 <= n_max:
+                need += L - s + d - 1
+                d += 1
+            d_hi.append(d)
+        # loc[s][d]: the local rows, d = 2..d_hi[s].  The other places hold
+        # one shared sink row, which nothing writes or reads: a spare last
+        # place lets the v = lo + 2 loop look up the row of lo + 1 before it
+        # knows that anything fits in it.
+        loc = [None] + [
+            [sink, sink, *([0] * (n_max + 1) for _ in range(d_hi[s] - 1)), sink]
+            for s in range(1, L - lo)
+        ]
         lo1 = lo + 1
+        lo2 = lo + 2
 
         def rec(last, total, nd):
-            # Record this prefix, then add each value in (lo, last) that
-            # fits, largest first; a call is made only when lo still fits.
+            # Add each value in (lo, last) that fits, largest first; a call
+            # is made only when lo still fits.
             nd += 1
-            starts[nd][total] += 1
             top = n_max - total
             if top >= last:
                 top = last - 1
-            for v in range(top, lo1, -1):
-                row = acc[L - v][nd]
+            for v in range(top, lo2, -1):
+                row = loc[L - v][nd]
                 for tot in range(total + v, n_max + 1, v):
                     row[tot] += 1
                     if tot <= lim:
                         rec(v, tot, nd)
+            if top >= lo2:
+                # Below lo + 2 only lo + 1 and lo are left, so these
+                # prefixes, and those that go on with lo + 1, are listed in
+                # place instead of by a call each.
+                row = loc[L - lo2][nd]
+                row1 = loc[L - lo1][nd + 1]
+                for tot in range(total + lo2, n_max + 1, lo2):
+                    row[tot] += 1
+                    for tot1 in range(tot + lo1, n_max + 1, lo1):
+                        row1[tot1] += 1
             if top >= lo1:
-                # Below lo + 1 only lo is left, so these prefixes are
-                # recorded in place instead of by a call each.
-                row = acc[L - lo1][nd]
-                st = starts[nd + 1]
+                row = loc[L - lo1][nd]
                 for tot in range(total + lo1, n_max + 1, lo1):
                     row[tot] += 1
-                    if tot <= lim:
-                        st[tot] += 1
 
-        # The largest part L appears at least once; smaller values are
-        # optional and strictly decreasing, so each multiset is hit once.
-        for tot in range(L, lim + 1, L):
-            rec(L, tot, 1)
-        # One or more parts of size lo after each prefix: st[x] becomes the
-        # number of prefixes at x, x - lo, x - 2*lo, ..., and each of them
-        # reaches x + lo.
-        for d in range(2, len(rows)):
-            st = starts[d]
-            for x in range(L + lo, lim + 1):
+        # One copy of L; smaller values are optional and strictly
+        # decreasing, so each interior multiset is hit once.
+        rec(L, L, 1)
+        # One or more further copies of L: entry x of a local row gains the
+        # entries at x - L, x - 2*L, ...; spread s starts at total 2*L - s.
+        for s in range(1, L - lo):
+            first = 2 * L - s
+            for d in range(2, d_hi[s] + 1):
+                row = loc[s][d]
+                for x in range(first + L, n_max + 1):
+                    row[x] += row[x - L]
+                out = acc[s][d]
+                out[first:] = map(add, out[first:], row[first:])
+        # One or more parts of size lo after each prefix that leaves room
+        # for one: the local rows, now with every number of copies of L,
+        # give st[x - L], the prefixes with d distinct values at total x;
+        # then st[x - L] becomes the number at x, x - lo, x - 2*lo, ...,
+        # and each of them reaches x + lo.
+        rows = acc[L - lo]
+        for d in range(1, d_hi[L - lo]):
+            st = [0] * (lim + 1 - L)
+            if d == 1:
+                st[::L] = [1] * len(st[::L])  # L alone
+            else:
+                for s in range(1, L - lo):
+                    if d <= d_hi[s]:
+                        st[:] = map(add, st, loc[s][d][L : lim + 1])
+            for x in range(lo, len(st)):
                 st[x] += st[x - lo]
-            row = rows[d]
-            row[L + lo :] = map(add, row[L + lo :], st[L:])
+            row = rows[d + 1]
+            row[L + lo :] = map(add, row[L + lo :], st)
     return acc
 
 

@@ -48,6 +48,12 @@ REQUESTS = [
     ["coeff", "--gf", "oqbinom", "--M", "3", "--n", "2"],
     ["coeff", "--gf", "oqbinom", "--M", "-1", "--N", "2", "--n", "2"],
     *[["coeff", "--gf", "overline_total", "--n", str(n)] for n in (0, 1, 12)],
+    # The deep paths: the check suite at its defaults (t <= 8, order 60),
+    # and a spread walk to n = 92, where the copies of the largest part
+    # counted in bulk reach far past the tables above.
+    *[["verify", "--check", "all", "--format", "json", *bad]
+      for bad in ([], ["--inject-mismatch"])],
+    ["table", "--kind", "g", "--t", "5", "--n-max", "92", "--source", "both"],
 ]
 
 

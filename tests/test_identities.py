@@ -292,6 +292,27 @@ def test_smallest_part_sums_equal_the_rebuild_per_m_sums(build, reference, t_min
     for t in range(t_min, 9):
         for prec in [*range(14), *range(17, 62, 4)]:
             _assert_same_int_series(build(t, prec), reference(t, prec), (t, prec))
+    # Past t = prec - 2 no summand changes: a far larger t gives the sums of
+    # a t just past that.
+    for prec in range(14):
+        _assert_same_int_series(build(10**4, prec), reference(prec + 2, prec), prec)
+
+
+def test_a_pass_made_for_a_larger_bound_gives_every_smaller_bound_its_sums():
+    # run_checks holds one pass, made for the largest t, and reads every
+    # smaller t from it; a builder called alone makes a pass for its own t.
+    for prec in [*range(-1, 14), *range(17, 62, 4)]:
+        pbar, g, case_two = identities._smallest_part_sums(8, prec)
+        assert g[0] is None and case_two[0] is None
+        for t in range(9):
+            _assert_same_int_series(identities._window_series(pbar[t], prec),
+                                    gf_pbar_direct(t, prec), (t, prec))
+            if t:
+                _assert_same_int_series(identities._window_series(g[t], prec),
+                                        gf_g_direct(t, prec), (t, prec))
+                _assert_same_int_series(
+                    identities._window_series(case_two[t], prec),
+                    _case_two_direct(t, prec), (t, prec))
 
 
 def test_largest_part_sums_equal_the_whole_series_sums():
@@ -912,6 +933,28 @@ def test_verify_all_builds_each_shared_series_once(monkeypatch, capsys):
     assert sorted(builds["gf_G"]) == [(t, 61) for t in range(1, 9)]
     assert sorted(builds["gf_g_direct"]) == [(t, 61) for t in range(1, 9)]
     assert sorted(builds["gf_pbar_direct"]) == [(t, 61) for t in range(9)]
+    assert identities._memo is None
+
+
+def test_verify_all_makes_one_smallest_part_pass_and_one_walk(monkeypatch, capsys):
+    from overq import cli, enumeration
+
+    builds = _count_builds(monkeypatch, "_smallest_part_sums")
+    walks = []
+    real_walk = kernels.window_diff_counts
+    monkeypatch.setattr(kernels, "window_diff_counts",
+                        lambda *args: walks.append(args) or real_walk(*args))
+    enumeration._SPREADS.clear()
+    try:
+        assert cli.main(["verify", "--check", "all"]) == 0
+    finally:
+        enumeration._SPREADS.clear()
+    assert "0 fail, 0 error" in capsys.readouterr().out
+    # th1, th2, cases and proofchain read every t's direct sums from one
+    # pass at prec 61, made for the largest t, which each family asks for
+    # first; the oracles read one walk.
+    assert builds["_smallest_part_sums"] == [(8, 61)]
+    assert walks == [(60, 8)]
     assert identities._memo is None
 
 
