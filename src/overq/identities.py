@@ -15,16 +15,16 @@ Series produced here, with the weight conventions of :mod:`.enumeration`:
 * gf_pbar(t): overpartitions with spread <= t.
 * gf_overline_total: all overpartitions.
 
-Two helpers carry the paper's part sums.  ``_smallest_part_sums`` makes
-the direct sums over the smallest part m for every t up to a bound in one
-pass over m, each t's summand from the one before it: they serve the
+Two passes carry the paper's part sums, each for every t up to a bound.
+``_smallest_part_sums`` makes the direct sums over the smallest part m in
+one pass over m, each t's summand from the one before it: they serve the
 direct sums of Theorems 1 and 2, case (2) of the three-case split and step
-(i) of the proof chain, and one pass per prec is held for a whole
-``run_checks`` call (``_smallest_part_rows``).  ``_largest_part_sum`` sums
-q^r/(1-q^r) times a box polynomial over the largest part r: it serves the
-over-q-binomial expansion and case (3), which read every box from the held
-over-q-binomial ladder (``qfunctions.over_qbinom_ints``), so a request
-builds its boxes in one pass however many t and r it covers.
+(i) of the proof chain.  ``_largest_part_sums`` sums q^r/(1-q^r) times
+the over-q-binomials f(i, r - lag) over the largest part r in one sweep
+over the columns of ``qfunctions.over_qbinom_columns``: lag 1 serves the
+over-q-binomial expansion, lag 0 case (3).  Within one ``run_checks``
+call each pass is held per prec and made again only for a larger t
+(``_held_pass``), so each family of a request makes one.
 
 The part sums, ``gf_pbar`` and the factor products run on plain int
 lists: each summand is one list, each step of a product one
@@ -43,12 +43,12 @@ one ``run_checks`` call, ``gf_pbar``, ``gf_G``, ``gf_g_direct`` and
 from __future__ import annotations
 
 import operator
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from itertools import repeat
 
-from . import kernels
+from . import kernels, qfunctions
 from .enumeration import divisor_count, oracle_series
-from .qfunctions import PhiSpec, over_qbinom_ints, phi, pochhammer_inf, verify_chu
+from .qfunctions import PhiSpec, phi, pochhammer_inf, verify_chu
 from .reports import (
     STATUS_ERROR,
     STATUS_FAIL,
@@ -79,8 +79,8 @@ def _require_order(order: int) -> None:
 
 
 # The finished series of the run_checks call under way, keyed by
-# (builder, args), and its smallest-part pass per prec (see
-# _smallest_part_rows); None outside one.
+# (builder, args), and its part-sum passes (see _held_pass); None outside
+# one.
 _memo: dict | None = None
 
 
@@ -98,6 +98,24 @@ def _built(build: Callable[..., QSeries], *args) -> QSeries:
     if s is None:
         s = _memo[key] = build(*args)
     return s
+
+
+def _held_pass(build: Callable, t: int, prec: int, *args):
+    """build(t, prec, *args), a part-sum pass that covers every bound up
+    to t.
+
+    Within one run_checks call the pass is held per (build, prec, args)
+    and made again only for a larger t; the checks ask for their largest
+    t first, so one pass serves every t of a family.  The builder is
+    named as this module names it at the call, as in _built.
+    """
+    if _memo is None:
+        return build(t, prec, *args)
+    key = (build, prec, *args)
+    held = _memo.get(key)
+    if held is None or held[0] < t:
+        held = _memo[key] = (t, build(t, prec, *args))
+    return held[1]
 
 
 # -- building blocks -------------------------------------------------------------
@@ -180,18 +198,6 @@ def _window_series(coeffs: list, prec: int) -> QSeries:
     return QSeries._make(min(0, prec), prec, coeffs)
 
 
-def _sum_from(terms: Iterable[tuple[int, list]], prec: int) -> QSeries:
-    """sum q^v * c over the (v, c) in terms, on the window of zero(prec).
-
-    Each c holds the int coefficients of q^0 .. at least q^(prec-v-1); all
-    are added into one list.
-    """
-    acc = [0] * max(prec, 0)
-    for v, c in terms:
-        acc[v:] = map(operator.add, acc[v:], c)
-    return _window_series(acc, prec)
-
-
 def _smallest_part_sums(t_max: int, prec: int) -> tuple[list, list, list]:
     """The direct sums over the smallest part m for every t <= t_max, made
     in one pass over m: int coefficient lists on [0, prec), indexed by t,
@@ -258,20 +264,9 @@ def _smallest_part_rows(t: int, prec: int) -> tuple[list, list, list]:
 
     Past t = prec - 2 every summand's factors are 1 on its list and case
     (2) is empty, so a larger t reads that row and a huge t costs no more.
-    Within one run_checks call the pass is held per prec and made again
-    only for a larger t; the checks ask for their largest t first, so one
-    pass serves every t of a request.
     """
     t = min(t, max(prec - 2, 1))
-    if _memo is None:
-        sums = _smallest_part_sums(t, prec)
-    else:
-        key = ("smallest parts", prec)
-        held = _memo.get(key)
-        if held is None or held[0] < t:
-            held = _memo[key] = (t, _smallest_part_sums(t, prec))
-        sums = held[1]
-    return tuple(rows[t] for rows in sums)
+    return tuple(rows[t] for rows in _held_pass(_smallest_part_sums, t, prec))
 
 
 def gf_pbar_direct(t: int, prec: int) -> QSeries:
@@ -302,15 +297,26 @@ def _case_two_direct(t: int, prec: int) -> QSeries:
     return _window_series(_smallest_part_rows(t, prec)[2], prec)
 
 
-def _largest_part_sum(poly: Callable[[int], list], prec: int) -> QSeries:
-    """sum_{r=1}^{prec-1} q^r/(1-q^r) * poly(r), with poly(r) the int
-    coefficients of a series on [0, prec - r).  The factor 1/(1-q^r) is 1
-    on that window once 2r >= prec."""
-    return _sum_from(
-        ((r, kernels.div_one_minus(poly(r), 1, r) if 2 * r < prec else poly(r))
-         for r in range(1, prec)),
-        prec,
-    )
+def _largest_part_sums(t: int, prec: int, lag: int) -> list:
+    """The sums over the largest part r for every row i <= min(t, prec -
+    lag - 1), made in one sweep over the columns of
+    ``qfunctions.over_qbinom_columns``: int coefficient lists on [0, prec),
+
+        rows[i] = sum_{r>=1} q^r/(1-q^r) f(i, r - lag),
+
+    f(i, j) the over-q-binomial read on [0, prec - r), which is column
+    r - lag at p = prec - lag.  A row past the last equals the last on
+    these windows.  The factor 1/(1-q^r) is 1 on the window once 2r >= prec.
+    """
+    p = prec - lag
+    rows = [[0] * prec for _ in range(min(t, max(p - 1, 0)) + 1)]
+    for r, col in enumerate(qfunctions.over_qbinom_columns(t, p), lag):
+        if r:
+            for acc, c in zip(rows, col):
+                if 2 * r < prec:
+                    c = kernels.div_one_minus(c, 1, r)
+                acc[r:] = map(operator.add, acc[r:], c)
+    return rows
 
 
 def gf_bk(t: int, prec: int) -> QSeries:
@@ -465,7 +471,8 @@ def check_oqbinom_pbar(t: int, order: int) -> VerificationReport:
     if t < 0:
         raise ValueError(f"oqbinom check needs t >= 0, got {t}")
     prec = order + 1
-    lhs = _largest_part_sum(lambda r: over_qbinom_ints(t, r - 1, prec - r), prec)
+    rows = _held_pass(_largest_part_sums, t, prec, 1)
+    lhs = _window_series(rows[min(t, len(rows) - 1)], prec)
     return comparison_report(
         IdentityCheck("oqbinom", {"t": t}, order),
         f"largest-part expansion over box polynomials matches to order {order}",
@@ -510,11 +517,10 @@ def _case_sides(t: int, prec: int) -> tuple[QSeries, QSeries, QSeries, QSeries]:
     full = _built(gf_pbar, t, prec)
     case1 = _ratio_minus_one(t, prec)
     twice_case2 = add(full, _built(gf_pbar, t - 1, prec).scale(-1))
-    case3 = _largest_part_sum(
-        lambda r: list(map(operator.sub, over_qbinom_ints(t, r, prec - r),
-                           over_qbinom_ints(t - 1, r, prec - r))),
-        prec,
-    )
+    rows = _held_pass(_largest_part_sums, t, prec, 0)
+    last = len(rows) - 1
+    case3 = _window_series(
+        list(map(operator.sub, rows[min(t, last)], rows[min(t - 1, last)])), prec)
     return (twice_case2, _case_two_direct(t, prec).scale(2),
             add(add(case1, case3).scale(2), twice_case2), full.scale(2))
 
@@ -714,9 +720,8 @@ def run_checks(
 
     The checks of one call share their gf_pbar, gf_G, gf_g_direct and
     gf_pbar_direct series: each (builder, args) is built once (see
-    _built), the direct sums of every t come from one smallest-part pass
-    per prec (see _smallest_part_rows), and the memo is dropped when the
-    call returns.
+    _built), the part sums of every t come from one pass per family and
+    prec (see _held_pass), and the memo is dropped when the call returns.
     """
     global _memo
     _require_order(order)

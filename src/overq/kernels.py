@@ -34,9 +34,8 @@ product formula they are meant to check: no interior factor is applied in
 bulk.
 
 ``HeldTable`` keeps the last table a builder made and hands it to every
-request it covers: the oracle walks and the formula side's
-over-q-binomial ladder each hold one, so a request builds each at most
-once.
+request it covers: each of the two oracle walks holds one, so a request
+walks each at most once.
 """
 
 from fractions import Fraction

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Iterable
-from itertools import accumulate, repeat
+from itertools import accumulate, islice, repeat
 
 from . import kernels
 from .reports import IdentityCheck, comparison_report
@@ -59,11 +59,10 @@ def pochhammer(a: QMonomial, n: int, prec: int) -> QSeries:
     e = a.exp
     g = a.coeff
     lo = sum(min(0, e + k) for k in range(n))
-    hi = sum(max(0, e + k) for k in range(n))
-    # Work wide enough to hold the whole polynomial and survive the window
-    # shifts from negative-exponent factors, then cut down to prec.
-    work = max(prec, hi + 1) - lo
-    s = one(work)
+    # Negative-exponent factors shift the window down by lo in all, so
+    # [0, prec - lo) ends up as [lo, prec); a factor past the window's
+    # width is 1 on it.  When prec <= lo the one entry kept is cut below.
+    s = one(max(prec - lo, 1))
     for k in range(n):
         s = mul_one_minus(s, g, e + k)
     return s.truncate(prec)
@@ -140,9 +139,10 @@ def over_qbinom_sum(m: int, n: int, prec: int | None = None) -> QSeries:
     q^{k+1} (1-q^{m-k})(1-q^{n-k}) / ((1-q^{m+n-k})(1-q^{k+1})), which is
     how the loop below advances.
 
-    The identity checks read their boxes from the held ladder
-    (:func:`over_qbinom_ladder`); this sum serves ``overq coeff --gf
-    oqbinom`` and the tests that hold the routes against each other.
+    The identity checks read their boxes from the columns of
+    :func:`over_qbinom_columns`, swept once per check family and request;
+    this sum serves ``overq coeff --gf oqbinom`` and the tests that hold
+    the routes against each other.
     """
     _require_box(m, n)
     natural = m * n + 1
@@ -172,64 +172,51 @@ def over_qbinom_sum(m: int, n: int, prec: int | None = None) -> QSeries:
     return _wrap_poly(acc, width, prec)
 
 
-def _over_ladder(p: int, t: int) -> list:
-    """The over-q-binomials f(i, j) for i <= min(t, p - 1) and j < p:
-    rows[i][j] holds the int coefficients of f(i, j) on [0, p - j), for
-    j < h = ceil(p/2); every column j >= h is a prefix of column h - 1.
+def over_qbinom_columns(t: int, p: int):
+    """Yield column j = 0..p-1 of the over-q-binomials f(i, j) for
+    i <= min(t, p - 1): column j is a list whose entry i holds the int
+    coefficients of f(i, j) on [0, p - j).  The caller must not change
+    them.
 
     f(i, j) = f(i, j-1) + q^j (f(i-1, j) + f(i-1, j-1)) with
     f(i, 0) = f(0, j) = 1: either fewer than j parts are used, or all j
     part slots are filled and lowering every part by one costs q^j and
-    lands in a box one shorter.  On [0, p - j) the q^j terms need their
+    lands in a box one shorter.  So column j needs only column j - 1,
+    which is all that is kept.  On [0, p - j) the q^j terms need their
     f(i-1, .) only below p - 2j, so each entry is one copy and two
-    slice-adds.  Once 2j >= p the q^j terms lie past the window, and
-    column j is column j - 1 cut to p - j: the rows stop at h.  A box
-    with largest part i adds only sizes >= i, so on these windows every
-    row past p - 1 would repeat row p - 1: the rows stop there too.
+    slice-adds; once 2j >= p the q^j terms lie past the window, and
+    column j is column j - 1 cut by one.  A box with largest part i adds
+    only sizes >= i, so on these windows every row past p - 1 would
+    repeat row p - 1: the rows stop there.
     """
-    h = (p + 1) // 2
-    row = [[1] + [0] * (p - 1 - j) for j in range(h)]
-    rows = [row]
-    for _ in range(min(t, p - 1)):
-        above, row = row, [row[0]]
-        for j in range(1, h):
-            cur = row[j - 1][: p - j]
-            cur[j:] = map(operator.add, map(operator.add, cur[j:], above[j]),
-                          above[j - 1])
-            row.append(cur)
-        rows.append(row)
-    return rows
-
-
-# The ladder of the last read that an earlier one did not cover; the
-# builder is looked up at call time, so a wrapper set on the module sees
-# every build.
-_LADDER = kernels.HeldTable(lambda p, t: _over_ladder(p, t))
-
-
-def over_qbinom_ints(m: int, n: int, prec: int) -> list:
-    """The int coefficients of over_qbinom_sum(m, n, prec) on [0, prec),
-    prec >= 1, read from the held ladder.
-
-    The read needs the ladder to p = n + prec.  On [0, prec) the box
-    polynomial stops changing once m reaches prec - 1, so m clamps to
-    p - 1 and a huge m costs no more than m = p - 1.  A ladder held from
-    an earlier read serves this one when it reaches both p and the clamped
-    m; otherwise it is rebuilt to exactly those.  Column n is read from
-    the last stored column when n is past it, of which it is a prefix.
-    """
-    p = n + prec
-    t = min(m, p - 1)
-    row = _LADDER.get(p, t)[t]
-    return row[min(n, len(row) - 1)][:prec]
+    col = [[1] + [0] * (p - 1) for _ in range(min(t, p - 1) + 1)]
+    for j in range(p):
+        if j:
+            prev, col = col, []
+            for i, c in enumerate(prev):
+                cur = c[: p - j]
+                if i:
+                    cur[j:] = map(operator.add, map(operator.add, cur[j:],
+                                                    col[i - 1]), prev[i - 1])
+                col.append(cur)
+        yield col
 
 
 def over_qbinom_ladder(m: int, n: int, prec: int) -> QSeries:
-    """over_qbinom_sum(m, n, prec), read from the held ladder."""
+    """over_qbinom_sum(m, n, prec), read from over_qbinom_columns.
+
+    The read needs the columns to p = n + prec.  On [0, prec) the box
+    polynomial stops changing once m reaches prec - 1, so m clamps to
+    p - 1 and a huge m costs no more than m = p - 1.  Column n is a prefix
+    of column ceil(p/2) - 1 when n is past it, so the columns stop there.
+    """
     _require_box(m, n)
     if prec < 1:
         return _wrap_poly([], 0, prec)
-    return QSeries._make(0, prec, over_qbinom_ints(m, n, prec))
+    p = n + prec
+    m = min(m, p - 1)
+    col = next(islice(over_qbinom_columns(m, p), min(n, (p + 1) // 2 - 1), None))
+    return QSeries._make(0, prec, col[m][:prec])
 
 
 # -- basic hypergeometric series -------------------------------------------------

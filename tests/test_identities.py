@@ -6,8 +6,9 @@ the check runner's report plumbing."""
 import json
 import operator
 import sys
+import tracemalloc
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from math import isqrt
 
 import pytest
@@ -18,7 +19,7 @@ from overq.identities import (
     _CHAIN_LABELS,
     ALL_CHECKS,
     _case_two_direct,
-    _largest_part_sum,
+    _largest_part_sums,
     _ratio_minus_one,
     check_abr,
     check_bk,
@@ -40,7 +41,7 @@ from overq.identities import (
     proof_chain_theorem1,
     run_checks,
 )
-from overq.qfunctions import PhiSpec, over_qbinom_ints, phi, pochhammer_inf
+from overq.qfunctions import PhiSpec, phi, pochhammer_inf
 from overq.series import (
     QMonomial,
     QSeries,
@@ -315,27 +316,75 @@ def test_a_pass_made_for_a_larger_bound_gives_every_smaller_bound_its_sums():
                     _case_two_direct(t, prec), (t, prec))
 
 
-def test_largest_part_sums_equal_the_whole_series_sums():
-    # The oqbinom and case (3) sums over the largest part r, on int lists
-    # from the held ladder, against reduce(add, ...) over the ladder's
-    # QSeries reads.
-    box = qfunctions.over_qbinom_ints
-    series_box = qfunctions.over_qbinom_ladder
-    for t in range(9):
-        for prec in [*range(14), *range(17, 62, 4)]:
-            pairs = [(lambda r: box(t, r - 1, prec - r),
-                      lambda r: series_box(t, r - 1, prec - r))]
-            if t >= 1:
-                pairs.append((
-                    lambda r: list(map(operator.sub, box(t, r, prec - r),
-                                       box(t - 1, r, prec - r))),
-                    lambda r: add(series_box(t, r, prec - r),
-                                  series_box(t - 1, r, prec - r).scale(-1)),
-                ))
-            for poly, series_poly in pairs:
-                _assert_same_int_series(
-                    identities._largest_part_sum(poly, prec),
-                    series_largest_part_sum(series_poly, prec), (t, prec))
+# The reference for _largest_part_sums: the whole over-q-binomial ladder and
+# its box read, which builds its ladder once per (p, t).
+
+
+def reference_over_ladder(p, t):
+    h = (p + 1) // 2
+    row = [[1] + [0] * (p - 1 - j) for j in range(h)]
+    rows = [row]
+    for _ in range(min(t, p - 1)):
+        above, row = row, [row[0]]
+        for j in range(1, h):
+            cur = row[j - 1][: p - j]
+            cur[j:] = map(operator.add, map(operator.add, cur[j:], above[j]),
+                          above[j - 1])
+            row.append(cur)
+        rows.append(row)
+    return rows
+
+
+_reference_ladder = lru_cache(maxsize=None)(reference_over_ladder)
+
+
+def reference_over_qbinom_ints(m, n, prec):
+    p = n + prec
+    t = min(m, p - 1)
+    row = _reference_ladder(p, t)[t]
+    return row[min(n, len(row) - 1)][:prec]
+
+
+@pytest.mark.parametrize("lag", [0, 1])
+def test_largest_part_sums_equal_the_ladder_read_sums(lag):
+    # Every row of a sweep against reduce(add, ...) over the ladder's box
+    # reads: every prec below 15 for rows up to 17, which covers rows at
+    # and past prec - 1, and a spread of larger prec for rows up to 8.  A
+    # sweep for a smaller t is a prefix of the one for the largest.
+    for prec in [*range(15), *range(17, 62, 4)]:
+        t_max = 17 if prec < 15 else 8
+        rows = _largest_part_sums(t_max, prec, lag)
+        last = min(t_max, max(prec - lag - 1, 0))
+        assert len(rows) == last + 1, prec
+        for t in range(t_max + 1):
+            ref = series_largest_part_sum(
+                lambda r: QSeries(0, prec - r,
+                                  reference_over_qbinom_ints(t, r - lag, prec - r)),
+                prec)
+            _assert_same_int_series(identities._window_series(rows[min(t, last)], prec),
+                                    ref, (lag, t, prec))
+            assert _largest_part_sums(t, prec, lag) == rows[: min(t, last) + 1]
+    _reference_ladder.cache_clear()
+
+
+def test_a_pass_is_made_again_only_for_a_larger_bound(monkeypatch):
+    made = []
+
+    def build(t, prec, *args):
+        made.append((t, prec, *args))
+        return (t, prec, *args)
+
+    # Outside run_checks nothing is held.
+    assert identities._held_pass(build, 3, 10) == (3, 10)
+    assert identities._held_pass(build, 3, 10) == (3, 10)
+    assert made == [(3, 10), (3, 10)]
+    made.clear()
+    monkeypatch.setattr(identities, "_memo", {})
+    for t, prec, *args in [(3, 10), (2, 10), (5, 10), (4, 10), (4, 11), (3, 10, 1),
+                           (1, 10, 1), (5, 10)]:
+        held = identities._held_pass(build, t, prec, *args)
+        assert held[0] >= t and held[1:] == (prec, *args)
+    assert made == [(3, 10), (5, 10), (4, 11), (3, 10, 1)]
 
 
 def test_gf_abr_equals_its_three_part_form():
@@ -466,57 +515,71 @@ def test_three_case_split_check():
     assert check_three_cases(2, 30).passed
 
 
-# -- box reads: the held ladder against the explicit sum ---------------------------
-
-
-def _check_reads(t_max, order):
-    """Every (m, n, prec) box read of the oqbinom and cases checks."""
-    prec = order + 1
-    reads = {(t, r - 1, prec - r) for t in range(t_max + 1) for r in range(1, prec)}
-    reads |= {(s, r, prec - r) for t in range(1, t_max + 1) for s in (t, t - 1)
-              for r in range(1, prec)}
-    return reads
+# -- box reads: the column sweep against the explicit sum --------------------------
 
 
 @pytest.mark.parametrize("order", [60, 120])
-def test_held_ladder_equals_the_explicit_sum_on_every_check_read(monkeypatch, order):
+def test_every_swept_box_equals_the_explicit_sum(monkeypatch, order):
     # The only checks that read boxes are oqbinom and cases, so these two
-    # families read every box that `verify --check all --t-max 8` reads.
+    # families sweep every box that `verify --check all --t-max 8` reads.
     seen = {}
-    real = identities.over_qbinom_ints
+    real = qfunctions.over_qbinom_columns
 
-    def spy(m, n, prec):
-        seen[m, n, prec] = out = real(m, n, prec)
-        return out
+    def spy(t, p):
+        for j, col in enumerate(real(t, p)):
+            for i, c in enumerate(col):
+                seen[i, j, p - j] = tuple(c)
+            yield col
 
-    monkeypatch.setattr(identities, "over_qbinom_ints", spy)
-    qfunctions._LADDER.clear()
+    monkeypatch.setattr(qfunctions, "over_qbinom_columns", spy)
     for family in ("oqbinom", "cases"):
         assert all(r.passed for r in run_checks(family, 8, order))
-    qfunctions._LADDER.clear()
-    assert set(seen) == _check_reads(8, order)
-    for (m, n, prec), box in seen.items():
-        _assert_same_int_series(QSeries(0, prec, box),
-                                qfunctions.over_qbinom_sum(m, n, prec), (m, n, prec))
+    prec = order + 1
+    assert set(seen) == {(i, j, p - j) for p in (prec - 1, prec)
+                         for i in range(9) for j in range(p)}
+    for (m, n, width), box in seen.items():
+        assert box == qfunctions.over_qbinom_sum(m, n, width).coeffs, (m, n, width)
 
 
-def test_check_suite_builds_one_ladder_and_no_explicit_sum(monkeypatch, capsys):
+def test_verify_all_sweeps_once_per_family_and_no_explicit_sum(monkeypatch, capsys):
     from overq import cli
 
-    builds, sums = [], []
-    real_build, real_sum = qfunctions._over_ladder, qfunctions.over_qbinom_sum
-    monkeypatch.setattr(qfunctions, "_over_ladder",
-                        lambda p, t: builds.append((p, t)) or real_build(p, t))
+    builds = _count_builds(monkeypatch, "_largest_part_sums")
+    sweeps, sums = [], []
+    real_columns, real_sum = qfunctions.over_qbinom_columns, qfunctions.over_qbinom_sum
+    monkeypatch.setattr(qfunctions, "over_qbinom_columns",
+                        lambda t, p: sweeps.append((t, p)) or real_columns(t, p))
     for module in (qfunctions, cli):
         monkeypatch.setattr(module, "over_qbinom_sum",
                             lambda *args: sums.append(args) or real_sum(*args))
-    qfunctions._LADDER.clear()
     assert cli.main(["verify", "--check", "all"]) == 0
-    qfunctions._LADDER.clear()
     assert "0 fail, 0 error" in capsys.readouterr().out
-    # cases runs first, at its largest t: its ladder covers every later read.
-    assert builds == [(61, 8)]
+    # cases (lag 0) runs before oqbinom (lag 1); each family asks for its
+    # largest t first, and that sweep serves every smaller t.
+    assert builds["_largest_part_sums"] == [(8, 61, 0), (8, 61, 1)]
+    assert sweeps == [(8, 61), (8, 60)]
     assert sums == []
+    assert identities._memo is None
+
+
+def test_oqbinom_checks_hold_only_one_column_at_a_time():
+    # The bound lies between the sweep's peak, near 0.2 MiB, and the
+    # 3.85 MiB of a table of every box of the request.  The first call
+    # imports and warms everything the measured one uses.
+    run_checks("oqbinom", 2, 20)
+    tracemalloc.start()
+    try:
+        reports = run_checks("oqbinom", 12, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in reports)
+    assert peak < 1.5 * 2**20, peak
+    # No module-level table of qfunctions holds boxes once the call returns.
+    tables = [name for name, v in vars(qfunctions).items()
+              if not name.startswith("__")
+              and isinstance(v, (list, dict, set, kernels.HeldTable))]
+    assert tables == []
 
 
 def test_quotients_solve_directly_with_no_inverse(monkeypatch, capsys):
@@ -618,11 +681,10 @@ def reference_case_sides(t, order):
     full = gf_pbar(t, prec)
     case1 = _ratio_minus_one(t, prec)
     case2 = add(full, gf_pbar(t - 1, prec).scale(-1)).scale(_HALF)
-    case3 = _largest_part_sum(
-        lambda r: list(map(operator.sub, over_qbinom_ints(t, r, prec - r),
-                           over_qbinom_ints(t - 1, r, prec - r))),
-        prec,
-    )
+    rows = _largest_part_sums(t, prec, 0)
+    last = len(rows) - 1
+    case3 = identities._window_series(
+        list(map(operator.sub, rows[min(t, last)], rows[min(t - 1, last)])), prec)
     return (case2, _case_two_direct(t, prec), add(add(case1, case2), case3), full)
 
 
@@ -775,12 +837,18 @@ def _bump_pbar_at_2(real):
 
 
 def _bump_box(box):
-    """Wrap the box read so that the polynomial of one box gains q^1."""
+    """Wrap the column sweep so that the polynomial of one box (m, n), row
+    m of column n, gains q^1."""
+    m, n = box
+
     def wrap(real):
-        def read(m, n, prec):
-            s = real(m, n, prec)
-            return [s[0], s[1] + 1, *s[2:]] if (m, n) == box else s
-        return read
+        def columns(t, p):
+            for j, col in enumerate(real(t, p)):
+                if j == n:
+                    s = col[m]
+                    col = [*col[:m], [s[0], s[1] + 1, *s[2:]], *col[m + 1:]]
+                yield col
+        return columns
     return wrap
 
 
@@ -821,7 +889,7 @@ _PINNED = [
      "largest-part expansion deviates from the closed form"),
     # The box (2, 3) serves r = 4: 2 q^4/(1-q^4) * q moves q^5 by 2.
     ("oqbinom-box", lambda: check_oqbinom_pbar(2, 12),
-     ((identities, "over_qbinom_ints", _bump_box((2, 3))),), (5, "22", "20"),
+     ((qfunctions, "over_qbinom_columns", _bump_box((2, 3))),), (5, "22", "20"),
      "largest-part expansion deviates from the closed form"),
     ("relation", lambda: check_pbar_g_relation(2, 12), (), None,
      "adjacent spread bounds recombine to order 12"),
@@ -838,7 +906,7 @@ _PINNED = [
      "case (2) closed form deviates from its direct sum"),
     # The box (1, 4) is the t - 1 side of r = 4: case (3) loses q^5.
     ("cases-box", lambda: check_three_cases(2, 12),
-     ((identities, "over_qbinom_ints", _bump_box((1, 4))),), (5, "19", "20"),
+     ((qfunctions, "over_qbinom_columns", _bump_box((1, 4))),), (5, "19", "20"),
      "three cases fail to sum to the full series"),
     ("proofchain", lambda: proof_chain_theorem1(2, 12), (), None,
      "all five expressions agree pairwise to order 12"),

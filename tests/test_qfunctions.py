@@ -1,5 +1,5 @@
 """Pochhammer symbols, q-binomials (the over q-binomial by its explicit sum,
-its ladder and the box walk), and the phi evaluator."""
+its column recurrence and the box walk), and the phi evaluator."""
 
 import operator
 import re
@@ -14,13 +14,13 @@ from overq import kernels, qfunctions
 from overq.enumeration import iter_partitions, over_qbinom_box_oracle
 from overq.identities import gf_G
 from overq.qfunctions import (
-    _over_ladder,
     _wrap_poly,
     NonconvergentPhiError,
     NonconvergentProductError,
     PhiDivisionError,
     PhiSpec,
     _termination_index,
+    over_qbinom_columns,
     over_qbinom_ladder,
     over_qbinom_sum,
     phi,
@@ -76,6 +76,24 @@ def test_pochhammer_vanishes_exactly_when_factor_hits_one():
             s = pochhammer(QMonomial(1, -t), m, 5)
             vanished = all(c == 0 for c in s.coeffs)
             assert vanished == (m > t), (t, m)
+
+
+def test_pochhammer_builds_only_the_window():
+    # A factor past the window is 1 on it, so a long product at a short
+    # prec costs no more than its first prec factors, and needs no room
+    # for the whole polynomial of degree n(n+1)/2.
+    n = 10**5
+    for a in (Q, MINUS_Q, QMonomial(2, 3)):
+        factor_by_factor = one(6)
+        for k in range(6):
+            factor_by_factor = mul_one_minus(factor_by_factor, a.coeff, a.exp + k)
+        got = pochhammer(a, n, 6)
+        assert (got.lo, got.prec) == (0, 6)
+        assert got == factor_by_factor, a
+    # Negative exponents shift the window down; the width stays prec - lo.
+    s = pochhammer(QMonomial(1, -3), n, 6)
+    assert (s.lo, s.prec) == (-6, 6)
+    assert ints(s, -6) == ints(pochhammer(QMonomial(1, -3), 10, 6), -6)
 
 
 def test_pochhammer_inf_euler_signs():
@@ -139,7 +157,7 @@ def test_over_qbinom_sum_small_values():
 
 
 def test_over_qbinom_rec_small_values():
-    # The Pascal-style recurrence, read from the held ladder.
+    # The Pascal-style recurrence, read from its columns.
     assert ints(over_qbinom_ladder(1, 1, 2)) == [1, 2]
     assert ints(over_qbinom_ladder(3, 0, 1)) == [1]
     assert ints(over_qbinom_ladder(2, 2, 5)) == [1, 2, 4, 4, 2]
@@ -185,66 +203,52 @@ def test_over_qbinom_prec_keyword():
     assert over_qbinom_ladder(2, 2, 20) == padded
 
 
-# -- the held ladder ------------------------------------------------------------------
+# -- the column recurrence -------------------------------------------------------------
 
 
-@pytest.fixture
-def ladder_builds(monkeypatch):
-    """Record every ladder build, starting and ending with no held ladder."""
-    builds = []
-    monkeypatch.setattr(qfunctions, "_over_ladder",
-                        lambda p, t: builds.append((p, t)) or _over_ladder(p, t))
-    qfunctions._LADDER.clear()
-    yield builds
-    qfunctions._LADDER.clear()
+def test_columns_hold_every_box_polynomial_on_its_window():
+    for p in range(-1, 21):
+        for t in range(6):
+            cols = list(over_qbinom_columns(t, p))
+            assert len(cols) == max(p, 0), (p, t)
+            for j, col in enumerate(cols):
+                assert len(col) == min(t, p - 1) + 1, (p, t, j)
+                for i, c in enumerate(col):
+                    assert c == list(over_qbinom_sum(i, j, p - j).coeffs), (p, t, i, j)
 
 
-def test_held_ladder_serves_every_smaller_request_as_a_fresh_build(ladder_builds):
-    big_p, big_t = 20, 5
-    over_qbinom_ladder(big_t, 0, big_p)
-    for p in range(1, big_p + 1):
-        for t in range(big_t + 1):
-            for i, row in enumerate(_over_ladder(p, t)):
-                # A row stores columns j < ceil(p/2); each later column is
-                # a prefix of the last one stored.
-                assert len(row) == (p + 1) // 2, (p, t, i)
-                for j in range(p):
-                    got = over_qbinom_ladder(i, j, p - j)
-                    assert (got.lo, got.prec) == (0, p - j), (p, t, i, j)
-                    assert got.coeffs == tuple(row[min(j, len(row) - 1)][: p - j]), (
-                        p, t, i, j)
-                    assert got == over_qbinom_sum(i, j, p - j), (p, t, i, j)
-    assert ladder_builds == [(big_p, big_t)]
-
-
-def test_a_larger_request_rebuilds_the_held_ladder(ladder_builds):
-    reads = [(3, 0, 10), (2, 4, 6), (3, 1, 10), (4, 0, 5), (1, 1, 3)]
-    for m, n, prec in reads:
-        assert over_qbinom_ladder(m, n, prec) == over_qbinom_sum(m, n, prec)
-    # (2, 4, 6) needs p = 10 and m = 2: covered.  (3, 1, 10) needs p = 11,
-    # (4, 0, 5) needs m = 4; each rebuilds to exactly what it needs, and
-    # (1, 1, 3) is covered by the last.
-    assert ladder_builds == [(10, 3), (11, 3), (5, 4)]
-
-
-def test_a_huge_box_width_reads_row_p_minus_one(ladder_builds):
+def test_a_huge_box_width_reads_row_p_minus_one():
     # On [0, prec) a box polynomial stops changing once m reaches prec - 1,
-    # so m clamps to p - 1 = n + prec - 1 and the ladder holds at most p rows.
+    # so m clamps to p - 1 = n + prec - 1 and a column holds at most p rows.
     prec = 12
     for n in range(5):
         p = n + prec
         huge = over_qbinom_ladder(10**6, n, prec)
-        assert len(qfunctions._LADDER.table) <= p
         assert huge == over_qbinom_ladder(p - 1, n, prec), n
         assert huge == over_qbinom_sum(10**6, n, prec), n
-    assert ladder_builds == [(p, p - 1) for p in range(prec, prec + 5)]
-    # The builder caps its rows too, so a ladder of its own takes a huge m.
-    assert len(_over_ladder(6, 10**6)) == 6
-    assert (tuple(_over_ladder(3 + prec, 10**6)[-1][3])
+    assert len(next(over_qbinom_columns(10**6, 6))) == 6
+    assert (tuple(list(over_qbinom_columns(10**6, 3 + prec))[3][-1][:prec])
             == over_qbinom_sum(10**6, 3, prec).coeffs)
 
 
-def test_held_ladder_reads_an_empty_window_like_the_sum():
+def test_a_ladder_read_stops_at_half_the_width(monkeypatch):
+    # Column n is a prefix of column ceil(p/2) - 1 when n is past it, so a
+    # read takes no column after min(n, ceil(p/2) - 1).
+    taken = []
+
+    def columns(t, p):
+        for j, col in enumerate(over_qbinom_columns(t, p)):
+            taken.append(j)
+            yield col
+
+    monkeypatch.setattr(qfunctions, "over_qbinom_columns", columns)
+    for m, n, prec in [(3, 2, 10), (3, 9, 4), (2, 20, 1), (0, 0, 5)]:
+        taken.clear()
+        assert over_qbinom_ladder(m, n, prec) == over_qbinom_sum(m, n, prec)
+        assert taken == list(range(min(n, (n + prec + 1) // 2 - 1) + 1)), (m, n, prec)
+
+
+def test_ladder_reads_an_empty_window_like_the_sum():
     for prec in (0, -3):
         assert over_qbinom_ladder(2, 2, prec) == over_qbinom_sum(2, 2, prec)
     with pytest.raises(ValueError):
