@@ -7,15 +7,17 @@ an identity check.  An overpartition is a partition in which the final
 partition with d distinct values yields 2**d overpartitions.  The spread of
 a partition is its largest part minus its smallest.
 
-The spread statistics share one held walk that counts partitions by exact
-spread and number of distinct values.  The walk lists every multiset of
-parts strictly between the largest and the smallest part on its own and
-counts the copies of both end parts in bulk (see
-``kernels.window_diff_counts``).  Its table is held as every statistic at
-every spread bound it covers, made once by weighted row sums and running
-sums over the spread (``_spread_statistics``), so a request reads a slice;
-see ``kernels.HeldTable`` for when it walks again.  The overpartition
-totals hold a walk of their own.
+The spread statistics and the overpartition totals come from one walk
+that counts partitions by exact spread and number of distinct values.  It
+lists every multiset of parts strictly between the largest and the
+smallest part on its own and counts the copies of both end parts in bulk
+(see ``kernels.window_diff_counts``).  Its table is held as every spread
+statistic at every spread bound it covers, made once by weighted row sums
+and running sums over the spread (``_spread_statistics``), so a request
+reads a slice; see ``kernels.HeldTable`` for when it walks again.  The
+overpartition totals are that walk's table at a bound that no partition
+of the sizes asked for exceeds, summed over every spread and distinct
+count, and are held on their own.
 :func:`iter_overpartitions` is a second, independent strategy that
 materializes every overline choice and is used to cross-check the weighted
 walks at small sizes.
@@ -99,8 +101,8 @@ def _spread_statistics(table: list) -> dict[str, list[list[int]]]:
 # gives the same counts as any larger bound.
 _SPREADS = kernels.HeldTable(
     lambda n, t: _spread_statistics(kernels.window_diff_counts(n, t)))
-# Entry n: overpartitions of n.  This walk visits every spread and takes no
-# bound, so its requests leave t at 0.
+# Entry n: overpartitions of n, summed over every spread of the walk at
+# bound n - 1.  The totals take no bound, so their requests leave t at 0.
 _TOTALS = kernels.HeldTable(lambda n, _t: kernels.all_partition_weighted_counts(n))
 
 

@@ -36,8 +36,9 @@ their phi series, whose factor list spells out the step's prefactor and
 infinite products; inverse factors cancel there.  The proof chain and the
 three-case split compare halves, so they compare twice each side, as int
 series, and halve only a reported mismatch (``_halves_report``).  Within
-one ``run_checks`` call, ``gf_pbar``, ``gf_G``, ``gf_g_direct`` and
-``gf_pbar_direct`` are built once per argument tuple (``_built``).
+one ``run_checks`` call, ``gf_pbar`` and ``gf_G`` are built once per
+argument tuple (``_built``); ``gf_g_direct`` and ``gf_pbar_direct`` read
+rows of the held smallest-part pass.
 """
 
 from __future__ import annotations
@@ -122,13 +123,15 @@ def _held_pass(build: Callable, t: int, prec: int, *args):
 
 
 def lambert_divisor(prec: int) -> QSeries:
-    """sum_{m>=1} q^m / (1 - q^m) = sum_{n>=1} d(n) q^n, d = divisor count."""
-    width = max(prec - 1, 0)
-    coeffs = [0] * width
+    """sum_{m>=1} q^m / (1 - q^m) = sum_{n>=1} d(n) q^n, d = divisor count.
+
+    The window is [1, prec), or empty at prec when prec < 1.
+    """
+    coeffs = [0] * max(prec - 1, 0)
     for m in range(1, prec):
         for j in range(m, prec, m):
             coeffs[j - 1] += 1
-    return QSeries._make(1, prec, coeffs)
+    return QSeries._make(min(1, prec), prec, coeffs)
 
 
 def _ratio_factors(lo: int, hi: int) -> list:
@@ -368,7 +371,7 @@ def gf_p_exact_low(t: int, prec: int) -> QSeries:
         return lambert_divisor(prec)
     if t == 1:
         coeffs = [n - divisor_count(n) for n in range(1, prec)]
-        return QSeries._make(1, prec, coeffs)
+        return QSeries._make(min(1, prec), prec, coeffs)
     raise ValueError(f"gf_p_exact_low covers t in {{0, 1}}, got {t}")
 
 
@@ -415,7 +418,7 @@ def check_th1(t: int, order: int, _corrupt: bool = False) -> VerificationReport:
     if _corrupt:
         closed = mul_one_minus(closed, -1, 1)
     return _triple_report(
-        "th1", t, order, closed, _built(gf_g_direct, t, prec),
+        "th1", t, order, closed, gf_g_direct(t, prec),
         oracle_series("g_t", t, order),
     )
 
@@ -425,7 +428,7 @@ def check_th2(t: int, order: int) -> VerificationReport:
     _require_order(order)
     prec = order + 1
     return _triple_report(
-        "th2", t, order, _built(gf_pbar, t, prec), _built(gf_pbar_direct, t, prec),
+        "th2", t, order, _built(gf_pbar, t, prec), gf_pbar_direct(t, prec),
         oracle_series("pbar_t", t, order),
     )
 
@@ -611,7 +614,7 @@ def _chain_steps(t: int, order: int) -> list[QSeries]:
     )
     four = one_minus_product(one(prec) - phi4, [*_ratio_factors(1, t), (1, t, -1)])
 
-    return [_built(gf_g_direct, t, prec), two, three, four, _built(gf_G, t, prec)]
+    return [gf_g_direct(t, prec), two, three, four, _built(gf_G, t, prec)]
 
 
 def proof_chain_theorem1(
@@ -718,10 +721,10 @@ def run_checks(
 
     inject_mismatch corrupts the th1 closed form (test hook).
 
-    The checks of one call share their gf_pbar, gf_G, gf_g_direct and
-    gf_pbar_direct series: each (builder, args) is built once (see
-    _built), the part sums of every t come from one pass per family and
-    prec (see _held_pass), and the memo is dropped when the call returns.
+    The checks of one call share their gf_pbar and gf_G series: each
+    (builder, args) is built once (see _built).  The part sums of every t,
+    the direct sums included, come from one pass per family and prec (see
+    _held_pass), and the memo is dropped when the call returns.
     """
     global _memo
     _require_order(order)

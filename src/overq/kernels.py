@@ -18,24 +18,20 @@ is not +-1.
 
 Enumeration kernels walk partition trees once per call and accumulate exact
 integer counts, so results are arbitrary precision by construction.  The
-two oracle walks (``window_diff_counts`` and
-``all_partition_weighted_counts``) list the parts between the end parts on
-their own, one multiset at a time, and count the copies of the end parts
-in bulk.  ``all_partition_weighted_counts`` visits every partition into
-parts >= 2 once and counts its 1s by one running sum.
-``window_diff_counts`` lists, for each largest part L, every multiset of
-interior values (strictly between the smallest part lo and L) once, after
-one copy of L; running sums along the residue classes mod lo and mod L
-then count the copies of both end parts.  Those sums are written inline in
-the walks and merge prefixes of equal total only for the end parts, whose
-copies change neither the spread nor the distinct count, so the oracles
-share no code with the coefficient kernels and never become a DP over the
-product formula they are meant to check: no interior factor is applied in
-bulk.
+one oracle walk, ``window_diff_counts``, lists, for each largest part L,
+every multiset of interior values (strictly between the smallest part lo
+and L) once, after one copy of L; running sums along the residue classes
+mod lo and mod L then count the copies of both end parts.  Those sums are
+written inline in the walk and merge prefixes of equal total only for the
+end parts, whose copies change neither the spread nor the distinct count,
+so the oracles share no code with the coefficient kernels and never become
+a DP over the product formula they are meant to check: no interior factor
+is applied in bulk.  ``all_partition_weighted_counts`` sums the table of
+one such walk, at a spread bound that no partition of its sizes exceeds.
 
 ``HeldTable`` keeps the last table a builder made and hands it to every
-request it covers: each of the two oracle walks holds one, so a request
-walks each at most once.
+request it covers: the spread statistics and the overpartition totals each
+hold one, so a request walks for each at most once.
 """
 
 from fractions import Fraction
@@ -333,40 +329,16 @@ def window_diff_counts(n_max, t):
 def all_partition_weighted_counts(n_max):
     """Overpartition totals: entry n is sum over partitions of 2**distinct.
 
-    Entry 0 counts the empty partition once.  No constraint on parts.  The
-    walk visits each partition into parts >= 2 once, largest part first,
-    and counts the parts of size 1 after it by one prefix sum, as
-    :func:`window_diff_counts` does for its smallest part.
+    Entry 0 counts the empty partition once.  No constraint on parts.
+    Every partition of n <= n_max has spread below n_max, so one
+    :func:`window_diff_counts` table at bound n_max - 1 counts them all,
+    and the totals are its rows summed at weight 2**d.
     """
     acc = [0] * (n_max + 1)
+    for rows in window_diff_counts(n_max, max(n_max - 1, 0)):
+        for d in range(1, len(rows)):
+            acc[:] = map(add, acc, map(mul, repeat(1 << d), rows[d]))
     acc[0] = 1
-    # ones[x]: summed weight of the partitions of x into parts >= 2, each
-    # doubled for the value 1 that follows (entry n_max is never read).
-    ones = [0] * (n_max + 1)
-
-    def rec(maxv, total, w2):
-        # w2 is twice this prefix's weight: the weight once one more
-        # distinct value joins it.
-        ones[total] += w2
-        top = n_max - total
-        if top > maxv:
-            top = maxv
-        w4 = w2 * 2
-        for v in range(top, 2, -1):
-            for tot in range(total + v, n_max + 1, v):
-                acc[tot] += w2
-                if tot < n_max:
-                    rec(v - 1, tot, w4)
-        if top >= 2:
-            # Below 2 only 1 is left: record these prefixes in place.
-            for tot in range(total + 2, n_max + 1, 2):
-                acc[tot] += w2
-                ones[tot] += w4
-
-    if n_max >= 1:
-        rec(n_max, 0, 2)
-        # One or more parts of size 1: entry x gains every ones[y], y < x.
-        acc[1:] = map(add, acc[1:], accumulate(ones))
     return acc
 
 

@@ -49,11 +49,13 @@ REQUESTS = [
     ["coeff", "--gf", "oqbinom", "--M", "-1", "--N", "2", "--n", "2"],
     *[["coeff", "--gf", "overline_total", "--n", str(n)] for n in (0, 1, 12)],
     # The deep paths: the check suite at its defaults (t <= 8, order 60),
-    # and a spread walk to n = 92, where the copies of the largest part
-    # counted in bulk reach far past the tables above.
+    # a spread walk to n = 92, where the copies of the largest part
+    # counted in bulk reach far past the tables above, and the
+    # overpartition totals to n = 48, read from a walk at spread bound 47.
     *[["verify", "--check", "all", "--format", "json", *bad]
       for bad in ([], ["--inject-mismatch"])],
     ["table", "--kind", "g", "--t", "5", "--n-max", "92", "--source", "both"],
+    ["table", "--kind", "overline_total", "--n-max", "48", "--source", "both"],
 ]
 
 

@@ -1,5 +1,5 @@
 """Brute-force oracles: scalar counts, series batching, the overpartition
-totals walk against the one it replaced, and the independent
+totals against the one-increment-per-part totals walk, and the independent
 flag-materializing enumeration that double-checks the weighted walks."""
 
 import pytest

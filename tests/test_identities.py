@@ -100,6 +100,16 @@ def test_gf_exact_low_spread_values():
         gf_p_exact_low(2, 10)
 
 
+def test_divisor_series_windows_are_valid_at_every_prec():
+    # The window starts at 1 but never past prec: an empty window at prec
+    # when prec < 1.  The validating constructor rejects any other shape.
+    for prec in range(-3, 3):
+        for s in (lambert_divisor(prec), gf_p_exact_low(0, prec),
+                  gf_p_exact_low(1, prec)):
+            assert QSeries(s.lo, s.prec, s.coeffs) == s, prec
+            assert (s.lo, s.prec) == (min(1, prec), prec), prec
+
+
 def test_gf_G_values():
     assert coeff(gf_G(1, 6), 4) == 8
     assert coeff(gf_G(2, 6), 4) == 12
@@ -991,16 +1001,13 @@ def _count_builds(monkeypatch, *names):
 def test_verify_all_builds_each_shared_series_once(monkeypatch, capsys):
     from overq import cli
 
-    builds = _count_builds(monkeypatch, "gf_pbar", "gf_G", "gf_g_direct",
-                           "gf_pbar_direct")
+    builds = _count_builds(monkeypatch, "gf_pbar", "gf_G")
     assert cli.main(["verify", "--check", "all"]) == 0
     assert "0 fail, 0 error" in capsys.readouterr().out
     # th2, relation, oqbinom, cases and corollary all read gf_pbar(t, 61):
     # one build per t <= 8 instead of 59.
     assert sorted(builds["gf_pbar"]) == [(t, 61) for t in range(9)]
     assert sorted(builds["gf_G"]) == [(t, 61) for t in range(1, 9)]
-    assert sorted(builds["gf_g_direct"]) == [(t, 61) for t in range(1, 9)]
-    assert sorted(builds["gf_pbar_direct"]) == [(t, 61) for t in range(9)]
     assert identities._memo is None
 
 

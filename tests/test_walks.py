@@ -331,7 +331,10 @@ def test_overline_total_table_walks_to_n_max(walks, capsys):
     assert main(["table", "--kind", "overline_total", "--n-max", "33",
                  "--source", "oracle"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 34
-    assert walks == [("all_partition_weighted_counts", (33,))]
+    # The totals kernel lists no partition itself: it sums one spread walk
+    # at a bound that no partition of 33 or less exceeds.
+    assert walks == [("all_partition_weighted_counts", (33,)),
+                     ("window_diff_counts", (33, 32))]
 
 
 def test_covered_request_reuses_the_held_table(walks):
@@ -365,7 +368,9 @@ def test_oracle_calls_no_coefficient_kernel(walks, monkeypatch):
         assert (s.lo, s.prec) == (1, 31), kind
     assert kernels.window_diff_counts(30, 29)
     assert kernels.all_partition_weighted_counts(30)
-    assert [name for name, _ in walks] == [
-        "window_diff_counts", "all_partition_weighted_counts",
-        "window_diff_counts", "all_partition_weighted_counts"]
+    assert walks == [
+        ("window_diff_counts", (30, 5)),
+        ("all_partition_weighted_counts", (30,)), ("window_diff_counts", (30, 29)),
+        ("window_diff_counts", (30, 29)),
+        ("all_partition_weighted_counts", (30,)), ("window_diff_counts", (30, 29))]
     assert used == []
