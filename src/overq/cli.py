@@ -12,16 +12,28 @@ module (the perfbench tracer) sees every call; a stored function would not.
 
 Every request is a fresh process, so start-up counts: ``json`` is imported
 only where a request needs it (a JSON document, or the report order that
-``VerificationReport.sort_key`` builds for every ``verify``), and nothing
-this module imports pulls in ``dataclasses`` or ``inspect``
+``VerificationReport.sort_key`` builds for every ``verify``), ``fractions``
+(which imports ``decimal``) only where a Fraction appears, and nothing this
+module imports pulls in ``dataclasses`` or ``inspect``
 (``tests/test_startup.py``).
+
+So does the end of the process.  ``run()``, the console script and
+``python -m overq``, flushes standard out and standard error after
+``main()`` returns and ends with ``os._exit``: the interpreter's teardown,
+module cleanup and the freeing of every object, costs 5-8 ms and the
+kernel reclaims the memory anyway.  Three cases keep the normal
+``sys.exit``, so their output and exit codes are the interpreter's own: a
+flush that raises (a closed pipe gives exit 120 with "Exception ignored",
+or, unbuffered, exit 1 with a traceback), a tracer or profiler that is set
+or a debugger (coverage, cProfile and pdb act after ``main()`` returns), and
+``main()`` raising, as argparse does for usage errors and ``--help``.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from fractions import Fraction
 
 from .enumeration import oracle_series
 from .identities import (
@@ -36,7 +48,11 @@ from .identities import (
     run_checks,
 )
 from .qfunctions import over_qbinom_sum
-from .series import QSeries, Rational, coeff
+from .series import QSeries, coeff
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .series import Rational
 
 # table kind -> (oracle kind, takes t, closed form (t, prec)).
 _KINDS = {
@@ -66,9 +82,10 @@ def _usage_error(message: str) -> int:
 
 
 def _json_value(value):
-    if isinstance(value, Fraction):
-        return value.numerator if value.denominator == 1 else str(value)
-    return value
+    # An int or a bool (an int subclass) as it is; else a Fraction.
+    if isinstance(value, int):
+        return value
+    return value.numerator if value.denominator == 1 else str(value)
 
 
 def _csv_value(value) -> str:
@@ -249,8 +266,35 @@ def main(argv: list[str] | None = None) -> int:
     return args.func(args)
 
 
+def _observed() -> bool:
+    """Whether a tracer, a profiler, (Python 3.12+, where cProfile uses it)
+    a ``sys.monitoring`` tool under any of its six ids, or a debugger is
+    set: each acts after ``main()`` returns, so the process must wind down
+    normally.  pdb drops its tracer on ``continue`` when no breakpoint is
+    set, so the debugger is told by the ``bdb`` it imports."""
+    monitoring = getattr(sys, "monitoring", None)
+    return (
+        sys.gettrace() is not None
+        or sys.getprofile() is not None
+        or monitoring is not None and any(map(monitoring.get_tool, range(6)))
+        or "bdb" in sys.modules
+    )
+
+
 def run() -> None:
-    sys.exit(main())
+    """The ``overq`` console script and ``python -m overq``."""
+    code = main()
+    if not _observed():
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        except (AttributeError, OSError, ValueError):
+            # No stream (its descriptor was closed at start), a broken pipe
+            # or a closed file: sys.exit ends as it always has.
+            pass
+        else:
+            os._exit(code)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

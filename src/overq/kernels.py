@@ -34,7 +34,6 @@ request it covers: the spread statistics and the overpartition totals each
 hold one, so a request walks for each at most once.
 """
 
-from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import add, mul, sub
 
@@ -76,6 +75,8 @@ def divide_unit(a, c, n_out):
     """
     c0 = c[0]
     unit = c0 == 1 or c0 == -1
+    if not unit:
+        from fractions import Fraction
     la = len(a)
     nz = [i for i in range(1, min(len(c), n_out)) if c[i]]
     vals = [c[i] for i in nz]

@@ -34,13 +34,21 @@ one int list that is wrapped once.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from fractions import Fraction
 from itertools import repeat
 from operator import add as _add, mul as _mul
 
 from . import kernels
 
-Rational = int | Fraction
+
+def __getattr__(name):
+    # ``Rational = int | Fraction`` is made on first use: importing
+    # ``fractions`` also imports ``decimal``, and most requests never see a
+    # Fraction.  Annotations here are strings and never look it up.
+    if name == "Rational":
+        from fractions import Fraction
+
+        return int | Fraction
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class QSeriesError(Exception):
@@ -67,7 +75,11 @@ def _coerce(value) -> Rational:
     """Check a coefficient is an exact rational: an int stays a plain int,
     a Fraction stays a Fraction.  Floats, bools and every other type raise
     TypeError."""
-    if type(value) is int or type(value) is Fraction:
+    if type(value) is int:
+        return value
+    from fractions import Fraction
+
+    if type(value) is Fraction:
         return value
     if isinstance(value, bool):
         raise TypeError("exact rational required, got bool")
@@ -90,6 +102,8 @@ def _div(num: Rational, den: Rational) -> Rational:
     operand types; any other divisor goes through Fraction."""
     if den == 1 or den == -1:
         return num * den
+    from fractions import Fraction
+
     return Fraction(num, den)
 
 
@@ -239,7 +253,11 @@ class QSeries:
     def __mul__(self, other):
         if isinstance(other, QSeries):
             return mul(self, other)
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
+            return self.scale(other)
+        from fractions import Fraction
+
+        if isinstance(other, Fraction):
             return self.scale(other)
         return NotImplemented
 

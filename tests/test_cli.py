@@ -163,6 +163,24 @@ def test_table_both_exits_one_on_a_mismatch(capsys, monkeypatch):
                                           "match": False}
 
 
+def test_table_prints_fraction_cells(capsys, monkeypatch):
+    # A Fraction cell prints as an integer when it is one, else as p/q; in
+    # JSON an integral Fraction is a number and the match cells stay bools.
+    real = cli.gf_pbar
+    monkeypatch.setattr(cli, "gf_pbar", lambda t, prec: real(t, prec).scale(
+        Fraction(1)) + monomial(Fraction(1, 2), 2, prec))
+    argv = ("table", "--kind", "pbar", "--t", "2", "--n-max", "3", "--source", "both")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == "n,formula,oracle,match\n1,2,2,true\n2,9/2,4,false\n3,8,8,true\n"
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 1
+    rows = json.loads(out)["rows"]
+    assert rows[:2] == [{"n": 1, "formula": 2, "oracle": 2, "match": True},
+                        {"n": 2, "formula": "9/2", "oracle": 4, "match": False}]
+    assert '"match": true' in out  # not 1, which compares equal to True
+
+
 # The names the perfbench tracer swaps on the cli module.
 CLI_BUILDERS = ("gf_pbar", "gf_G", "gf_bk", "gf_abr", "gf_p_exact_low",
                 "lambert_divisor", "gf_overline_total", "over_qbinom_sum",

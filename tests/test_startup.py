@@ -1,9 +1,10 @@
 """What a fresh ``import overq.cli`` loads.  Every CLI request is a new
 process, so a heavy standard-library module pulled in at import is paid on
 every request.  ``dataclasses`` (which brings ``inspect``) and ``typing``
-are never needed, and ``json`` stays out until a request needs it: only
-the JSON outputs and the verify report order use ``json``.  No timing is
-measured here."""
+are never needed, ``fractions`` (which brings ``decimal``) only once a
+Fraction appears, which no table request here makes, and ``json`` stays
+out until a request needs it: only the JSON outputs and the verify report
+order use ``json``.  No timing is measured here."""
 
 import json
 import subprocess
@@ -12,7 +13,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "data" / "cli_golden.json"
-HEAVY = ("dataclasses", "inspect", "json", "typing")
+HEAVY = ("dataclasses", "decimal", "fractions", "inspect", "json", "typing")
 
 _TABLE = ["table", "--kind", "pbar", "--t", "3", "--n-max", "12", "--source", "both"]
 CSV = _TABLE + ["--format", "csv"]
