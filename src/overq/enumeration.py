@@ -11,13 +11,13 @@ The spread statistics and the overpartition totals come from one walk
 that counts partitions by exact spread and number of distinct values.  It
 lists every multiset of parts strictly between the largest and the
 smallest part on its own and counts the copies of both end parts in bulk
-(see ``kernels.window_diff_counts``).  Its table is held as every spread
-statistic at every spread bound it covers, made once by weighted row sums
-and running sums over the spread (``_spread_statistics``), so a request
-reads a slice; see ``kernels.HeldTable`` for when it walks again.  The
-overpartition totals are that walk's table at a bound that no partition
-of the sizes asked for exceeds, summed over every spread and distinct
-count, and are held on their own.
+(see ``kernels.window_diff_counts``).  Its table is turned into every
+spread statistic at every spread bound it reaches, by weighted row sums and
+running sums over the spread (``_spread_statistics``), and a read takes a
+slice; the kernels docstring says when a walk is made and how long it is
+held.  The overpartition totals are that walk's table at a bound that no
+partition of the sizes asked for exceeds, summed over every spread and
+distinct count, and are made afresh for each call.
 :func:`iter_overpartitions` is a second, independent strategy that
 materializes every overline choice and is used to cross-check the weighted
 walks at small sizes.
@@ -64,22 +64,23 @@ def _require_t(t: int) -> None:
         raise ValueError(f"spread bound t must be >= 0, got {t}")
 
 
-def _spread_statistics(table: list) -> dict[str, list[list[int]]]:
-    """Every spread statistic for every bound t <= T of a spread walk's
-    table c[s][d][n] (s <= T), as weighted row sums: kind -> rows by t,
-    each indexed by n.
+def _spread_statistics(n_max: int, t: int) -> dict[str, list[list[int]]]:
+    """Every spread statistic for every bound up to t, from one spread walk
+    to n_max, as weighted row sums of its table c[s][d][n] (s <= t): kind
+    -> rows by bound, each indexed by n.
 
     p_t counts partitions with spread s <= t, p_exact_t those with s == t;
     pbar_t weighs each by 2**d (its overpartitions), and g_t does too except
     at s == t, where the largest part may not be overlined: 2**(d-1).  So
     each s gives two row sums, at weights 1 and 2**(d-1), and running sums
-    over s give the rest: g_t = pbar_{t-1} + the half-weighted row t.
+    over s give the rest: g_t = pbar_{t-1} + the half-weighted row t.  The
+    walk is looked up in kernels at the call, so a wrapper put there sees it.
     """
-    width = len(table[0][0])
+    width = n_max + 1
     stats: dict[str, list[list[int]]] = {
         kind: [] for kind in ("p_t", "p_exact_t", "pbar_t", "g_t")}
     p = pbar = [0] * width
-    for rows in table:
+    for rows in kernels.window_diff_counts(n_max, t):
         exact, half = [0] * width, [0] * width
         for d in range(1, len(rows)):
             exact[:] = map(add, exact, rows[d])
@@ -93,24 +94,13 @@ def _spread_statistics(table: list) -> dict[str, list[list[int]]]:
     return stats
 
 
-# The walks are looked up in kernels at each call, so that wrappers put
-# there see them.  The spread walk counts partitions by spread and number
-# of distinct values, and its table is held as the statistics it gives
-# (_spread_statistics).  Every partition of n or less has spread below n,
-# so a request for sizes up to n asks for spread bound at most n, which
-# gives the same counts as any larger bound.
-_SPREADS = kernels.HeldTable(
-    lambda n, t: _spread_statistics(kernels.window_diff_counts(n, t)))
-# Entry n: overpartitions of n, summed over every spread of the walk at
-# bound n - 1.  The totals take no bound, so their requests leave t at 0.
-_TOTALS = kernels.HeldTable(lambda n, _t: kernels.all_partition_weighted_counts(n))
-
-
 def _spread_counts(kind: str, t: int, lo: int, hi: int) -> list[int]:
     """Entries n = lo..hi of the spread statistic kind (see
-    _spread_statistics) at bound t."""
+    _spread_statistics) at bound t.  Every partition of hi or less has
+    spread below hi, so a bound past hi gives the same counts as hi."""
     t = min(t, hi)
-    return _SPREADS.get(hi, t)[kind][t][lo : hi + 1]
+    stats = kernels.shared("spread walk", _spread_statistics, hi, t)
+    return stats[kind][t][lo : hi + 1]
 
 
 def count_p_bounded_diff(n: int, t: int) -> int:
@@ -130,7 +120,7 @@ def count_p_exact_diff(n: int, t: int) -> int:
 def count_opbar_total(n: int) -> int:
     """All overpartitions of n."""
     _require_n(n)
-    return _TOTALS.get(n)[n]
+    return kernels.all_partition_weighted_counts(n)[n]
 
 
 def count_opbar_bounded(n: int, t: int) -> int:
@@ -176,7 +166,7 @@ def oracle_series(kind: str, t: int | None, n_max: int) -> QSeries:
     if kind == "d":
         counts = [divisor_count(n) for n in range(1, n_max + 1)]
     elif kind == "opbar_total":
-        counts = _TOTALS.get(n_max)[1 : n_max + 1]
+        counts = kernels.all_partition_weighted_counts(n_max)[1:]
     else:
         if t is None:
             raise ValueError(f"oracle kind {kind!r} needs the parameter t")

@@ -22,9 +22,7 @@ direct sums of Theorems 1 and 2, case (2) of the three-case split and step
 (i) of the proof chain.  ``_largest_part_sums`` sums q^r/(1-q^r) times
 the over-q-binomials f(i, r - lag) over the largest part r in one sweep
 over the columns of ``qfunctions.over_qbinom_columns``: lag 1 serves the
-over-q-binomial expansion, lag 0 case (3).  Within one ``run_checks``
-call each pass is held per prec and made again only for a larger t
-(``_held_pass``), so each family of a request makes one.
+over-q-binomial expansion, lag 0 case (3).
 
 The part sums, ``gf_pbar`` and the factor products run on plain int
 lists: each summand is one list, each step of a product one
@@ -35,10 +33,12 @@ Steps (ii)-(iv) of the proof chain are each one ``one_minus_product`` on
 their phi series, whose factor list spells out the step's prefactor and
 infinite products; inverse factors cancel there.  The proof chain and the
 three-case split compare halves, so they compare twice each side, as int
-series, and halve only a reported mismatch (``_halves_report``).  Within
-one ``run_checks`` call, ``gf_pbar`` and ``gf_G`` are built once per
-argument tuple (``_built``); ``gf_g_direct`` and ``gf_pbar_direct`` read
-rows of the held smallest-part pass.
+series, and halve only a reported mismatch (``_halves_report``).
+
+The passes and the ``gf_pbar`` and ``gf_G`` series of the checks are read
+through ``kernels.shared``, which names each builder as this module names it
+at the call, so a replacement (a test's, or a tracer's wrapper) runs; see the
+kernels docstring for when each is made and how long it is held.
 """
 
 from __future__ import annotations
@@ -71,52 +71,13 @@ from .series import (
     mul_one_minus,
     one,
     one_minus_product,
+    zero,
 )
 
 
 def _require_order(order: int) -> None:
     if order < 1:
         raise ValueError(f"comparison order must be >= 1, got {order}")
-
-
-# The finished series of the run_checks call under way, keyed by
-# (builder, args), and its part-sum passes (see _held_pass); None outside
-# one.
-_memo: dict | None = None
-
-
-def _built(build: Callable[..., QSeries], *args) -> QSeries:
-    """build(*args), built once per run_checks call.
-
-    Callers pass the builder as this module names it at the call, so a
-    replacement (a test's, or a tracer's wrapper) is a key of its own and
-    runs.
-    """
-    if _memo is None:
-        return build(*args)
-    key = (build, args)
-    s = _memo.get(key)
-    if s is None:
-        s = _memo[key] = build(*args)
-    return s
-
-
-def _held_pass(build: Callable, t: int, prec: int, *args):
-    """build(t, prec, *args), a part-sum pass that covers every bound up
-    to t.
-
-    Within one run_checks call the pass is held per (build, prec, args)
-    and made again only for a larger t; the checks ask for their largest
-    t first, so one pass serves every t of a family.  The builder is
-    named as this module names it at the call, as in _built.
-    """
-    if _memo is None:
-        return build(t, prec, *args)
-    key = (build, prec, *args)
-    held = _memo.get(key)
-    if held is None or held[0] < t:
-        held = _memo[key] = (t, build(t, prec, *args))
-    return held[1]
 
 
 # -- building blocks -------------------------------------------------------------
@@ -162,6 +123,8 @@ def gf_G(t: int, prec: int) -> QSeries:
     spread-bounded overpartition counts (see module docstring)."""
     if t < 1:
         raise ValueError(f"gf_G needs t >= 1, got {t}")
+    if prec < 1:
+        return zero(prec)
     return div_one_minus(_ratio_minus_one(t, prec), 1, t)
 
 
@@ -173,6 +136,8 @@ def gf_pbar(t: int, prec: int) -> QSeries:
     """
     if t < 0:
         raise ValueError(f"gf_pbar needs t >= 0, got {t}")
+    if prec < 1:
+        return zero(prec)
     divisors = lambert_divisor(prec)
     # (-q;q)_n/(q;q)_n on [0, prec), extended by one factor per n; its
     # constant term stays 1, so [0, *ratio[1:]] is the ratio minus 1.
@@ -262,14 +227,16 @@ def _smallest_part_sums(t_max: int, prec: int) -> tuple[list, list, list]:
     return pbar, g, case_two
 
 
-def _smallest_part_rows(t: int, prec: int) -> tuple[list, list, list]:
-    """Row t of each _smallest_part_sums list at prec: (pbar, g, case_two).
+def _smallest_part_sum(which: int, t: int, prec: int) -> QSeries:
+    """Row t of the _smallest_part_sums list which (0: pbar, 1: g,
+    2: case_two) at prec, as a series.
 
     Past t = prec - 2 every summand's factors are 1 on its list and case
     (2) is empty, so a larger t reads that row and a huge t costs no more.
     """
     t = min(t, max(prec - 2, 1))
-    return tuple(rows[t] for rows in _held_pass(_smallest_part_sums, t, prec))
+    rows = kernels.shared("smallest-part pass", _smallest_part_sums, t, prec)
+    return _window_series(rows[which][t], prec)
 
 
 def gf_pbar_direct(t: int, prec: int) -> QSeries:
@@ -282,7 +249,7 @@ def gf_pbar_direct(t: int, prec: int) -> QSeries:
     """
     if t < 0:
         raise ValueError(f"gf_pbar_direct needs t >= 0, got {t}")
-    return _window_series(_smallest_part_rows(t, prec)[0], prec)
+    return _smallest_part_sum(0, t, prec)
 
 
 def gf_g_direct(t: int, prec: int) -> QSeries:
@@ -291,13 +258,13 @@ def gf_g_direct(t: int, prec: int) -> QSeries:
     (1+q^{m+t}) overline choice."""
     if t < 1:
         raise ValueError(f"gf_g_direct needs t >= 1, got {t}")
-    return _window_series(_smallest_part_rows(t, prec)[1], prec)
+    return _smallest_part_sum(1, t, prec)
 
 
 def _case_two_direct(t: int, prec: int) -> QSeries:
     """Case (2) of the three-case split as a direct sum: q^{m+t} G_m, with
     G_m the gf_g_direct summands, over the m with 2m + t < prec."""
-    return _window_series(_smallest_part_rows(t, prec)[2], prec)
+    return _smallest_part_sum(2, t, prec)
 
 
 def _largest_part_sums(t: int, prec: int, lag: int) -> list:
@@ -327,6 +294,8 @@ def gf_bk(t: int, prec: int) -> QSeries:
     at most t."""
     if t < 1:
         raise ValueError(f"gf_bk needs t >= 1, got {t}")
+    if prec < 1:
+        return zero(prec)
     # 1/((q;q)_t (1 - q^t)) - 1/(1 - q^t).  1/(1 - q^k) with k >= prec is
     # 1 on the window [0, prec).
     divisors = [(1, k, -1) for k in range(1, min(t, prec - 1) + 1)]
@@ -377,6 +346,8 @@ def gf_p_exact_low(t: int, prec: int) -> QSeries:
 
 def gf_overline_total(prec: int) -> QSeries:
     """All overpartitions: (-q;q)_oo / (q;q)_oo."""
+    if prec < 1:
+        return zero(prec)
     num = pochhammer_inf(QMonomial(-1, 1), prec)
     den = pochhammer_inf(QMonomial(1, 1), prec)
     return div(num, den)
@@ -414,7 +385,7 @@ def check_th1(t: int, order: int, _corrupt: bool = False) -> VerificationReport:
     """
     _require_order(order)
     prec = order + 1
-    closed = _built(gf_G, t, prec)
+    closed = kernels.shared("gf_G", gf_G, t, prec)
     if _corrupt:
         closed = mul_one_minus(closed, -1, 1)
     return _triple_report(
@@ -427,8 +398,9 @@ def check_th2(t: int, order: int) -> VerificationReport:
     """gf_pbar(t) against its direct sum and the count_opbar_bounded oracle."""
     _require_order(order)
     prec = order + 1
+    closed = kernels.shared("gf_pbar", gf_pbar, t, prec)
     return _triple_report(
-        "th2", t, order, _built(gf_pbar, t, prec), gf_pbar_direct(t, prec),
+        "th2", t, order, closed, gf_pbar_direct(t, prec),
         oracle_series("pbar_t", t, order),
     )
 
@@ -461,8 +433,9 @@ def check_pbar_g_relation(t: int, order: int) -> VerificationReport:
     return comparison_report(
         IdentityCheck("relation", {"t": t}, order),
         f"adjacent spread bounds recombine to order {order}",
-        (add(_built(gf_pbar, t, prec), _built(gf_pbar, t - 1, prec)),
-         _built(gf_G, t, prec).scale(2),
+        (add(kernels.shared("gf_pbar", gf_pbar, t, prec),
+             kernels.shared("gf_pbar", gf_pbar, t - 1, prec)),
+         kernels.shared("gf_G", gf_G, t, prec).scale(2),
          "adjacent spread bounds fail to recombine"),
     )
 
@@ -474,12 +447,12 @@ def check_oqbinom_pbar(t: int, order: int) -> VerificationReport:
     if t < 0:
         raise ValueError(f"oqbinom check needs t >= 0, got {t}")
     prec = order + 1
-    rows = _held_pass(_largest_part_sums, t, prec, 1)
+    rows = kernels.shared("largest-part sums", _largest_part_sums, t, prec, 1)
     lhs = _window_series(rows[min(t, len(rows) - 1)], prec)
     return comparison_report(
         IdentityCheck("oqbinom", {"t": t}, order),
         f"largest-part expansion over box polynomials matches to order {order}",
-        (lhs.scale(2), _built(gf_pbar, t, prec),
+        (lhs.scale(2), kernels.shared("gf_pbar", gf_pbar, t, prec),
          "largest-part expansion deviates from the closed form"),
     )
 
@@ -517,10 +490,10 @@ def _halves_report(
 def _case_sides(t: int, prec: int) -> tuple[QSeries, QSeries, QSeries, QSeries]:
     """Twice the sides that check_three_cases compares: case (2)'s closed
     form and its direct sum, then the sum of the three cases and gf_pbar(t)."""
-    full = _built(gf_pbar, t, prec)
+    full = kernels.shared("gf_pbar", gf_pbar, t, prec)
     case1 = _ratio_minus_one(t, prec)
-    twice_case2 = add(full, _built(gf_pbar, t - 1, prec).scale(-1))
-    rows = _held_pass(_largest_part_sums, t, prec, 0)
+    twice_case2 = add(full, kernels.shared("gf_pbar", gf_pbar, t - 1, prec).scale(-1))
+    rows = kernels.shared("largest-part sums", _largest_part_sums, t, prec, 0)
     last = len(rows) - 1
     case3 = _window_series(
         list(map(operator.sub, rows[min(t, last)], rows[min(t - 1, last)])), prec)
@@ -614,7 +587,8 @@ def _chain_steps(t: int, order: int) -> list[QSeries]:
     )
     four = one_minus_product(one(prec) - phi4, [*_ratio_factors(1, t), (1, t, -1)])
 
-    return [gf_g_direct(t, prec), two, three, four, _built(gf_G, t, prec)]
+    five = kernels.shared("gf_G", gf_G, t, prec)
+    return [gf_g_direct(t, prec), two, three, four, five]
 
 
 def proof_chain_theorem1(
@@ -662,7 +636,7 @@ def check_corollary(t: int, n_max: int) -> VerificationReport:
         raise ValueError(f"corollary needs t >= 0, got {t}")
     if n_max < 1:
         raise ValueError(f"corollary needs n_max >= 1, got {n_max}")
-    series = _built(gf_pbar, t, n_max + 1)
+    series = kernels.shared("gf_pbar", gf_pbar, t, n_max + 1)
     check = IdentityCheck("corollary", {"t": t, "n_max": n_max}, n_max)
     for n in range(1, n_max + 1):
         v = series.coeff(n)
@@ -721,19 +695,18 @@ def run_checks(
 
     inject_mismatch corrupts the th1 closed form (test hook).
 
-    The checks of one call share their gf_pbar and gf_G series: each
-    (builder, args) is built once (see _built).  The part sums of every t,
-    the direct sums included, come from one pass per family and prec (see
-    _held_pass), and the memo is dropped when the call returns.
+    The call is one request scope with bound (t_max, order): its checks
+    share one spread walk, one smallest-part pass, one largest-part sweep
+    per lag and each gf_pbar and gf_G series, made once at the size the
+    bound gives and dropped when the call returns (see the kernels
+    docstring).
     """
-    global _memo
     _require_order(order)
     if selector != "all" and selector not in CHECKS:
         raise ValueError(f"unknown check {selector!r}")
     names = ALL_CHECKS if selector == "all" else (selector,)
     reports: list[VerificationReport] = []
-    _memo = {}
-    try:
+    with kernels.RequestScope(t_max, order):
         for name in names:
             lo, runner = CHECKS[name]
             if t_max < lo:
@@ -742,10 +715,7 @@ def run_checks(
                 raise ValueError(
                     f"check {name!r} needs t_max >= {lo}, got {t_max}"
                 )
-            # Largest t first: its oracle walk covers every smaller t.
-            for t in range(t_max, lo - 1, -1):
+            for t in range(lo, t_max + 1):
                 reports.append(runner(t, order, inject_mismatch))
-    finally:
-        _memo = None
     reports.sort(key=lambda r: r.sort_key())
     return reports

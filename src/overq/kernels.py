@@ -29,13 +29,17 @@ a DP over the product formula they are meant to check: no interior factor
 is applied in bulk.  ``all_partition_weighted_counts`` sums the table of
 one such walk, at a spread bound that no partition of its sizes exceeds.
 
-``HeldTable`` keeps the last table a builder made and hands it to every
-request it covers: the spread statistics and the overpartition totals each
-hold one, so a request walks for each at most once.
+A request scope (:class:`RequestScope`), which ``identities.run_checks``
+opens with its bound (t_max, order), owns the tables its checks share: the
+spread walk, the part-sum passes and the ``gf_pbar`` and ``gf_G`` series.
+:func:`shared` makes each once, on its first read, at the size the bound
+gives, so one walk and one pass serve every t in any order; a read past that
+size raises :class:`ScopeError`, and every table goes when the scope closes,
+even on an error.  Outside a scope each call makes its table at its own size.
 """
 
 from itertools import accumulate, repeat
-from operator import add, mul, sub
+from operator import add, gt, mul, sub
 
 # The one kernel backend; reported by tools that record where time goes.
 BACKEND = "pure"
@@ -343,27 +347,58 @@ def all_partition_weighted_counts(n_max):
     return acc
 
 
-# -- held tables -------------------------------------------------------------------
+# -- the request scope -------------------------------------------------------------
 
 
-class HeldTable:
-    """The last table a builder made, reused for every request it covers.
+class ScopeError(LookupError):
+    """A read of a shared table past the size the request scope made it at."""
 
-    A table built to size n_hi with bound t_hi covers a request (n, t) when
-    n <= n_hi and t <= t_hi.  A request it does not cover replaces it by a
-    table built to exactly (n, t).
-    """
 
-    def __init__(self, build):
-        self._build = build
-        self.clear()
+_scope = None  # the open RequestScope, or None
 
-    def clear(self):
-        self.n_hi = self.t_hi = -1
-        self.table = []
 
-    def get(self, n, t=0):
-        if n > self.n_hi or t > self.t_hi:
-            self.table = self._build(n, t)
-            self.n_hi, self.t_hi = n, t
-        return self.table
+class RequestScope:
+    """The shared tables of one request with bound (t_max, order), open for
+    the block of a ``with`` statement.  ``sizes`` maps a read's arguments to
+    those its bound-sized table is made with: the walk to order, each pass at
+    the read's prec (and lag) for every t up to t_max that changes its rows;
+    a series is made at its read."""
+
+    def __init__(self, t_max, order):
+        self.sizes = {
+            "spread walk": lambda n, t: (order, min(t_max, order)),
+            "smallest-part pass": lambda t, prec: (
+                min(t_max, max(prec - 2, 1)), prec),
+            "largest-part sums": lambda t, prec, lag: (t_max, prec, lag),
+        }
+        self.tables = {}
+
+    def __enter__(self):
+        global _scope
+        if _scope is not None:
+            raise RuntimeError("a request scope is already open")
+        _scope = self
+        return self
+
+    def __exit__(self, *exc_info):
+        global _scope
+        _scope = None
+
+
+def shared(name, build, *need):
+    """build(*need) outside a request scope.  Inside one, the table for name
+    at the size its rule gives (need, without a rule), made on the first read
+    of that size and held until the scope closes; the reader takes the rows
+    it needs, and a read needing more than that size raises ScopeError."""
+    scope = _scope
+    if scope is None:
+        return build(*need)
+    rule = scope.sizes.get(name)
+    size = need if rule is None else rule(*need)
+    if any(map(gt, need, size)):
+        raise ScopeError(f"{name} read at {need} is past its request's {size}")
+    key = (name, *size)
+    table = scope.tables.get(key)
+    if table is None:
+        table = scope.tables[key] = build(*size)
+    return table

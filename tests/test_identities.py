@@ -14,10 +14,16 @@ from math import isqrt
 import pytest
 
 from overq import identities, kernels, qfunctions
-from overq.enumeration import divisor_count, oracle_series, over_qbinom_box_oracle
+from overq.enumeration import (
+    count_g,
+    divisor_count,
+    oracle_series,
+    over_qbinom_box_oracle,
+)
 from overq.identities import (
     _CHAIN_LABELS,
     ALL_CHECKS,
+    CHECKS,
     _case_two_direct,
     _largest_part_sums,
     _ratio_minus_one,
@@ -108,6 +114,22 @@ def test_divisor_series_windows_are_valid_at_every_prec():
                   gf_p_exact_low(1, prec)):
             assert QSeries(s.lo, s.prec, s.coeffs) == s, prec
             assert (s.lo, s.prec) == (min(1, prec), prec), prec
+
+
+@pytest.mark.parametrize("prec", [-2, 0])
+@pytest.mark.parametrize("build", [
+    lambda prec: gf_G(3, prec), lambda prec: gf_pbar(0, prec),
+    lambda prec: gf_pbar(3, prec), lambda prec: gf_bk(3, prec),
+    lambda prec: gf_abr(3, prec), lambda prec: gf_p_exact_low(0, prec),
+    lambda prec: gf_p_exact_low(1, prec), gf_overline_total, lambert_divisor,
+    lambda prec: gf_pbar_direct(3, prec), lambda prec: gf_g_direct(3, prec),
+    lambda prec: qfunctions.over_qbinom_sum(3, 4, prec),
+    lambda prec: qfunctions.over_qbinom_ladder(3, 4, prec),
+])
+def test_every_series_is_the_empty_window_below_prec_one(build, prec):
+    s = build(prec)
+    assert (s.lo, s.prec, s.coeffs) == (min(0, prec), prec, ())
+    assert s == zero(prec)
 
 
 def test_gf_G_values():
@@ -310,8 +332,9 @@ def test_smallest_part_sums_equal_the_rebuild_per_m_sums(build, reference, t_min
 
 
 def test_a_pass_made_for_a_larger_bound_gives_every_smaller_bound_its_sums():
-    # run_checks holds one pass, made for the largest t, and reads every
-    # smaller t from it; a builder called alone makes a pass for its own t.
+    # A request scope holds one pass, made for its largest t, and reads
+    # every smaller t from it; a builder called alone makes a pass for its
+    # own t.
     for prec in [*range(-1, 14), *range(17, 62, 4)]:
         pbar, g, case_two = identities._smallest_part_sums(8, prec)
         assert g[0] is None and case_two[0] is None
@@ -377,24 +400,78 @@ def test_largest_part_sums_equal_the_ladder_read_sums(lag):
     _reference_ladder.cache_clear()
 
 
-def test_a_pass_is_made_again_only_for_a_larger_bound(monkeypatch):
+def test_a_request_scope_makes_each_table_once_and_keeps_nothing(monkeypatch):
     made = []
 
-    def build(t, prec, *args):
-        made.append((t, prec, *args))
-        return (t, prec, *args)
+    def build(*size):
+        made.append(size)
+        return size
 
-    # Outside run_checks nothing is held.
-    assert identities._held_pass(build, 3, 10) == (3, 10)
-    assert identities._held_pass(build, 3, 10) == (3, 10)
-    assert made == [(3, 10), (3, 10)]
+    # Outside a scope nothing is kept: each read makes a table at its size.
+    assert kernels.shared("largest-part sums", build, 3, 10, 1) == (3, 10, 1)
+    assert kernels.shared("largest-part sums", build, 3, 10, 1) == (3, 10, 1)
+    assert made == [(3, 10, 1), (3, 10, 1)]
     made.clear()
-    monkeypatch.setattr(identities, "_memo", {})
-    for t, prec, *args in [(3, 10), (2, 10), (5, 10), (4, 10), (4, 11), (3, 10, 1),
-                           (1, 10, 1), (5, 10)]:
-        held = identities._held_pass(build, t, prec, *args)
-        assert held[0] >= t and held[1:] == (prec, *args)
-    assert made == [(3, 10), (5, 10), (4, 11), (3, 10, 1)]
+    with kernels.RequestScope(5, 9):
+        # Inside one each table is made once per key, at the bound's size,
+        # whatever order its reads come in.
+        for name, need, size in [
+                ("largest-part sums", (3, 10, 1), (5, 10, 1)),
+                ("largest-part sums", (5, 10, 1), (5, 10, 1)),
+                ("largest-part sums", (2, 10, 0), (5, 10, 0)),
+                ("smallest-part pass", (1, 10), (5, 10)),
+                ("smallest-part pass", (5, 10), (5, 10)),
+                ("smallest-part pass", (3, 5), (3, 5)),
+                ("spread walk", (4, 1), (9, 5)),
+                ("spread walk", (9, 5), (9, 5)),
+                ("gf_pbar", (3, 10), (3, 10)),
+                ("gf_pbar", (3, 10), (3, 10)),
+                ("gf_pbar", (3, 11), (3, 11))]:
+            assert kernels.shared(name, build, *need) == size, (name, need)
+        assert made == [(5, 10, 1), (5, 10, 0), (5, 10), (3, 5), (9, 5), (3, 10),
+                        (3, 11)]
+        # A read past the bound raises instead of reading a short table.
+        for name, need in [("largest-part sums", (6, 10, 1)),
+                           ("smallest-part pass", (6, 10)),
+                           ("spread walk", (10, 5)), ("spread walk", (9, 6))]:
+            with pytest.raises(kernels.ScopeError):
+                kernels.shared(name, build, *need)
+        with pytest.raises(RuntimeError):
+            with kernels.RequestScope(1, 1):
+                pass
+    assert kernels._scope is None
+    made.clear()
+    assert kernels.shared("gf_pbar", build, 3, 10) == (3, 10)
+    assert made == [(3, 10)]
+    # The scope closes when a check raises, and the next request opens one.
+    monkeypatch.setattr(identities, "check_bk", lambda t, order: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        run_checks("bk", 3, 12)
+    assert kernels._scope is None
+    assert all(r.passed for r in run_checks("th2", 2, 12))
+
+
+@pytest.mark.parametrize("inject_mismatch", [False, True])
+def test_scoped_reports_equal_each_check_alone(inject_mismatch):
+    # Row t of a table made at the request's bound equals the table made at
+    # t: every report of run_checks equals that check run outside any scope,
+    # where each table is made at its own size.  Inside a scope a check at a
+    # lower order reads the bound's walk and passes of its own prec.
+    def seen(reports):
+        return [(r.check.name, r.check.params, r.status, r.message, r.first_mismatch)
+                for r in sorted(reports, key=lambda r: r.sort_key())]
+
+    def alone(order):
+        return [runner(t, order, inject_mismatch)
+                for lo, runner in CHECKS.values() for t in range(lo, 7)]
+
+    reports = run_checks("all", 6, 30, inject_mismatch=inject_mismatch)
+    assert kernels._scope is None
+    assert seen(reports) == seen(alone(30))
+    with kernels.RequestScope(6, 30):
+        below = alone(19)
+    assert seen(below) == seen(alone(19))
+    assert any(r.first_mismatch for r in reports) == inject_mismatch
 
 
 def test_gf_abr_equals_its_three_part_form():
@@ -564,12 +641,12 @@ def test_verify_all_sweeps_once_per_family_and_no_explicit_sum(monkeypatch, caps
                             lambda *args: sums.append(args) or real_sum(*args))
     assert cli.main(["verify", "--check", "all"]) == 0
     assert "0 fail, 0 error" in capsys.readouterr().out
-    # cases (lag 0) runs before oqbinom (lag 1); each family asks for its
-    # largest t first, and that sweep serves every smaller t.
+    # cases (lag 0) runs before oqbinom (lag 1); each sweep is made at the
+    # request's bound, so it serves every t of its family.
     assert builds["_largest_part_sums"] == [(8, 61, 0), (8, 61, 1)]
     assert sweeps == [(8, 61), (8, 60)]
     assert sums == []
-    assert identities._memo is None
+    assert kernels._scope is None
 
 
 def test_oqbinom_checks_hold_only_one_column_at_a_time():
@@ -585,11 +662,20 @@ def test_oqbinom_checks_hold_only_one_column_at_a_time():
         tracemalloc.stop()
     assert all(r.passed for r in reports)
     assert peak < 1.5 * 2**20, peak
-    # No module-level table of qfunctions holds boxes once the call returns.
-    tables = [name for name, v in vars(qfunctions).items()
-              if not name.startswith("__")
-              and isinstance(v, (list, dict, set, kernels.HeldTable))]
-    assert tables == []
+    # No module of overq holds a table once its calls return: the only
+    # mutable globals are the dispatch tables, and no scope is left open.
+    from overq import cli  # noqa: F401 (every module is then imported)
+
+    oracle_series("opbar_total", None, 20)
+    count_g(9, 2)
+    modules = [m for name, m in sys.modules.items()
+               if name == "overq" or name.startswith("overq.")]
+    tables = sorted(f"{m.__name__}.{name}" for m in modules
+                    for name, v in vars(m).items() if not name.startswith("__")
+                    and isinstance(v, (list, dict, set, kernels.RequestScope)))
+    assert tables == ["overq.cli._COEFF_FORMS", "overq.cli._KINDS",
+                      "overq.identities.CHECKS"]
+    assert kernels._scope is None
 
 
 def test_quotients_solve_directly_with_no_inverse(monkeypatch, capsys):
@@ -984,7 +1070,7 @@ def test_run_checks_looks_each_check_up_at_call_time(monkeypatch):
 
     monkeypatch.setattr(identities, "check_bk", spy)
     reports = run_checks("bk", 3, 12)
-    assert seen == [3, 2, 1]
+    assert seen == [1, 2, 3]
     assert all(r.passed for r in reports)
 
 
@@ -1008,44 +1094,40 @@ def test_verify_all_builds_each_shared_series_once(monkeypatch, capsys):
     # one build per t <= 8 instead of 59.
     assert sorted(builds["gf_pbar"]) == [(t, 61) for t in range(9)]
     assert sorted(builds["gf_G"]) == [(t, 61) for t in range(1, 9)]
-    assert identities._memo is None
+    assert kernels._scope is None
 
 
 def test_verify_all_makes_one_smallest_part_pass_and_one_walk(monkeypatch, capsys):
-    from overq import cli, enumeration
+    from overq import cli
 
     builds = _count_builds(monkeypatch, "_smallest_part_sums")
     walks = []
     real_walk = kernels.window_diff_counts
     monkeypatch.setattr(kernels, "window_diff_counts",
                         lambda *args: walks.append(args) or real_walk(*args))
-    enumeration._SPREADS.clear()
-    try:
-        assert cli.main(["verify", "--check", "all"]) == 0
-    finally:
-        enumeration._SPREADS.clear()
+    assert cli.main(["verify", "--check", "all"]) == 0
     assert "0 fail, 0 error" in capsys.readouterr().out
     # th1, th2, cases and proofchain read every t's direct sums from one
-    # pass at prec 61, made for the largest t, which each family asks for
-    # first; the oracles read one walk.
+    # pass at prec 61, made at the request's bound; the oracles read one
+    # walk.
     assert builds["_smallest_part_sums"] == [(8, 61)]
     assert walks == [(60, 8)]
-    assert identities._memo is None
+    assert kernels._scope is None
 
 
 def test_a_builder_replaced_between_run_checks_calls_is_used(monkeypatch):
     builds = _count_builds(monkeypatch, "gf_G")
     assert all(r.passed for r in run_checks("relation", 2, 12))
-    assert builds["gf_G"] == [(2, 13), (1, 13)]
-    # The memo lives for one call: the next one builds afresh, with the
+    assert builds["gf_G"] == [(1, 13), (2, 13)]
+    # The scope lives for one call: the next one builds afresh, with the
     # builder the module names then.
     bumped = []
     monkeypatch.setattr(identities, "gf_G", lambda t, prec: (
         bumped.append((t, prec)) or gf_G(t, prec) + monomial(1, 5, prec)))
     reports = run_checks("relation", 2, 12)
-    assert bumped == [(2, 13), (1, 13)]
+    assert bumped == [(1, 13), (2, 13)]
     assert [r.status for r in reports] == ["fail", "fail"]
-    assert identities._memo is None
+    assert kernels._scope is None
 
 
 def test_run_checks_all_is_sorted_and_passes():

@@ -1,8 +1,9 @@
 """The shared spread walk: its table against the one-increment-per-part
 walk it replaced and the smallest-part-first walk before that, its derived
 statistics against the per-statistic walk before both, its raw table against
-plain and flag-materializing enumeration, the sizes the held oracle tables
-walk to, and the oracle's independence from the coefficient kernels."""
+plain and flag-materializing enumeration, the sizes the oracle walks are
+made at, inside a request scope and out, and the oracle's independence from
+the coefficient kernels."""
 
 import pytest
 
@@ -203,18 +204,14 @@ def reference_largest_part_first_table(n_max, t):
 
 @pytest.fixture
 def walks(monkeypatch):
-    """Record every oracle walk, starting and ending with empty tables."""
+    """Record every oracle walk."""
     calls = []
     for name in ("window_diff_counts", "all_partition_weighted_counts"):
         def recorded(*args, _walk=getattr(kernels, name), _name=name):
             calls.append((_name, args))
             return _walk(*args)
         monkeypatch.setattr(kernels, name, recorded)
-    enumeration._SPREADS.clear()
-    enumeration._TOTALS.clear()
-    yield calls
-    enumeration._SPREADS.clear()
-    enumeration._TOTALS.clear()
+    return calls
 
 
 def spread_walks(calls):
@@ -227,11 +224,12 @@ def spread_walks(calls):
 def test_every_statistic_matches_the_per_statistic_walk(walks):
     modes = {"p_t": MODE_BOUNDED, "p_exact_t": MODE_EXACT,
              "pbar_t": MODE_PBAR, "g_t": MODE_G}
-    for t in range(8, -1, -1):
-        for kind, mode in modes.items():
-            want = reference_window_diff_counts(64, t, mode)[1:]
-            s = oracle_series(kind, t, 64)
-            assert [coeff(s, n) for n in range(1, 65)] == want, (kind, t)
+    with kernels.RequestScope(8, 64):
+        for t in range(9):
+            for kind, mode in modes.items():
+                want = reference_window_diff_counts(64, t, mode)[1:]
+                s = oracle_series(kind, t, 64)
+                assert [coeff(s, n) for n in range(1, 65)] == want, (kind, t)
     assert spread_walks(walks) == [(64, 8)]
 
 
@@ -327,6 +325,13 @@ def test_check_suite_walks_once(walks):
     assert spread_walks(walks) == [(60, 8)]
 
 
+def test_each_check_suite_walks_once(walks):
+    # Nothing outlives a request: the second one walks again, once.
+    for _ in range(2):
+        assert all(r.passed for r in run_checks("all", 3, 12))
+    assert spread_walks(walks) == [(12, 3), (12, 3)]
+
+
 def test_overline_total_table_walks_to_n_max(walks, capsys):
     assert main(["table", "--kind", "overline_total", "--n-max", "33",
                  "--source", "oracle"]) == 0
@@ -337,11 +342,18 @@ def test_overline_total_table_walks_to_n_max(walks, capsys):
                      ("window_diff_counts", (33, 32))]
 
 
-def test_covered_request_reuses_the_held_table(walks):
-    oracle_series("p_t", 6, 65)
-    oracle_series("g_t", 3, 40)
-    oracle_series("p_t", 6, 66)
-    assert spread_walks(walks) == [(65, 6), (66, 6)]
+def test_reads_share_a_walk_only_inside_a_request_scope(walks):
+    for _ in range(2):
+        oracle_series("p_t", 6, 65)
+        oracle_series("g_t", 3, 40)
+        oracle_series("p_t", 6, 66)
+    assert spread_walks(walks) == [(65, 6), (40, 3), (66, 6)] * 2
+    walks.clear()
+    with kernels.RequestScope(6, 66):
+        oracle_series("p_t", 6, 65)
+        oracle_series("g_t", 3, 40)
+        oracle_series("p_t", 6, 66)
+    assert spread_walks(walks) == [(66, 6)]
 
 
 def test_ascending_scan(walks):
@@ -355,7 +367,7 @@ def test_ascending_scan(walks):
 
 def test_oracle_calls_no_coefficient_kernel(walks, monkeypatch):
     # An oracle that shared a coefficient kernel with the formula side would
-    # not check it.  walks has emptied the held tables, so every kind walks.
+    # not check it.  Outside a request scope every kind walks.
     used = []
     for name in ("convolve", "invert_unit", "divide_unit", "one_minus_chain",
                  "mul_one_minus", "div_one_minus"):
@@ -369,7 +381,7 @@ def test_oracle_calls_no_coefficient_kernel(walks, monkeypatch):
     assert kernels.window_diff_counts(30, 29)
     assert kernels.all_partition_weighted_counts(30)
     assert walks == [
-        ("window_diff_counts", (30, 5)),
+        *[("window_diff_counts", (30, 5))] * 4,
         ("all_partition_weighted_counts", (30,)), ("window_diff_counts", (30, 29)),
         ("window_diff_counts", (30, 29)),
         ("all_partition_weighted_counts", (30,)), ("window_diff_counts", (30, 29))]
