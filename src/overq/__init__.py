@@ -3,11 +3,12 @@
 The package has seven modules:
 
 * :mod:`overq.kernels` -- the hot inner loops: coefficient products, unit
-  inversion, one-minus factors and the partition walks.
+  inversion, one-minus factors and the spread walk.
 * :mod:`overq.series` -- truncated Laurent series over exact rationals.
-* :mod:`overq.qfunctions` -- Pochhammer symbols, Gaussian and overpartition
-  q-binomials, and a basic hypergeometric series evaluator.
-* :mod:`overq.enumeration` -- brute-force partition enumeration oracles.
+* :mod:`overq.qfunctions` -- Pochhammer symbols, the over q-binomials and a
+  basic hypergeometric series evaluator.
+* :mod:`overq.enumeration` -- the formula-free oracles: spread statistics,
+  overpartition totals and the over q-binomial box walk.
 * :mod:`overq.reports` -- the verification report types and the one helper
   that turns ordered series comparisons into a pass or fail report.
 * :mod:`overq.identities` -- generating functions and identity checks that

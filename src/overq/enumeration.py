@@ -17,15 +17,12 @@ running sums over the spread (``_spread_statistics``), and a read takes a
 slice; the kernels docstring says when a walk is made and how long it is
 held.  The overpartition totals are that walk's table at a bound that no
 partition of the sizes asked for exceeds, summed over every spread and
-distinct count, and are made afresh for each call.
-:func:`iter_overpartitions` is a second, independent strategy that
-materializes every overline choice and is used to cross-check the weighted
-walks at small sizes.
+distinct count, and are made afresh for each call.  The over q-binomial
+oracle walks the partitions of its box itself.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from itertools import repeat
 from operator import add, mul
 
@@ -147,7 +144,23 @@ def over_qbinom_box_oracle(m: int, n: int) -> QSeries:
     """
     if m < 0 or n < 0:
         raise ValueError("box dimensions must be >= 0")
-    counts = kernels.box_weighted_counts(m, n)
+    counts = [0] * (m * n + 1)
+    counts[0] = 1
+
+    def rec(maxv, slots, total, weight):
+        # Choose the next (largest remaining) distinct part value and its
+        # multiplicity; every call path builds each partition exactly once.
+        for v in range(maxv, 0, -1):
+            tot = total
+            w2 = weight * 2
+            for copies in range(1, slots + 1):
+                tot += v
+                counts[tot] += w2
+                if copies < slots and v > 1:
+                    rec(v - 1, slots - copies, tot, w2)
+
+    if m and n:
+        rec(m, n, 0, 1)
     return QSeries._make(0, m * n + 1, counts)
 
 
@@ -174,104 +187,3 @@ def oracle_series(kind: str, t: int | None, n_max: int) -> QSeries:
         counts = _spread_counts(kind, t, 1, n_max)
     return QSeries._make(1, n_max + 1, counts)
 
-
-# -- independent flag-materializing enumeration ---------------------------------
-
-
-class PartitionInBox:
-    """A partition as a non-increasing tuple of positive parts."""
-
-    __slots__ = ("parts",)
-
-    parts: tuple[int, ...]
-
-    def __init__(self, parts: tuple[int, ...]):
-        prev = None
-        for p in parts:
-            if p < 1:
-                raise ValueError("parts must be positive")
-            if prev is not None and p > prev:
-                raise ValueError("parts must be non-increasing")
-            prev = p
-        object.__setattr__(self, "parts", parts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PartitionInBox is immutable")
-
-    def spread(self) -> int:
-        return self.parts[0] - self.parts[-1] if self.parts else 0
-
-
-class OverPartition:
-    """A partition plus the set of part values that carry an overline."""
-
-    __slots__ = ("partition", "overlined")
-
-    partition: PartitionInBox
-    overlined: frozenset
-
-    def __init__(self, partition: PartitionInBox, overlined: frozenset):
-        if not set(overlined) <= set(partition.parts):
-            raise ValueError("overlined values must occur in the partition")
-        object.__setattr__(self, "partition", partition)
-        object.__setattr__(self, "overlined", overlined)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OverPartition is immutable")
-
-
-def iter_partitions(
-    n: int, max_part: int | None = None, min_part: int = 1
-) -> Iterator[tuple[int, ...]]:
-    """All partitions of n with parts in [min_part, max_part], largest first.
-
-    Iterative, so the depth of a partition is bounded by memory, not by the
-    interpreter's recursion limit.
-
-    Raises:
-        ValueError: if min_part < 1.
-    """
-    if min_part < 1:
-        raise ValueError(f"parts must be positive, got min_part {min_part}")
-    if max_part is None or max_part > n:
-        max_part = n
-    if n == 0:
-        yield ()
-        return
-    if n < 1 or min_part > max_part:
-        return
-    parts = []
-    remaining = n
-    v = max_part  # the next value to try after the parts chosen so far
-    while True:
-        if v >= min_part:
-            parts.append(v)
-            remaining -= v
-            if remaining:
-                v = min(v, remaining)
-                continue
-            yield tuple(parts)
-        elif not parts:
-            return
-        # Replace the last part by the next smaller value.
-        last = parts.pop()
-        remaining += last
-        v = last - 1
-
-
-def _subsets(values):
-    values = sorted(values)
-    for mask in range(1 << len(values)):
-        yield frozenset(v for i, v in enumerate(values) if mask >> i & 1)
-
-
-def iter_overpartitions(n: int) -> Iterator[OverPartition]:
-    """Materialize every overpartition of n, one overline subset at a time.
-
-    Exponential in the number of distinct parts; intended as a small-n
-    cross-check of the weighted counting sweeps.
-    """
-    for parts in iter_partitions(n):
-        p = PartitionInBox(parts)
-        for ov in _subsets(set(parts)):
-            yield OverPartition(p, ov)

@@ -49,7 +49,7 @@ from itertools import repeat
 
 from . import kernels, qfunctions
 from .enumeration import divisor_count, oracle_series
-from .qfunctions import PhiSpec, phi, pochhammer_inf, verify_chu
+from .qfunctions import phi, pochhammer_inf, verify_chu
 from .reports import (
     STATUS_ERROR,
     STATUS_FAIL,
@@ -550,23 +550,19 @@ def _chain_steps(t: int, order: int) -> list[QSeries]:
 
     # (ii)
     phi2 = phi(
-        PhiSpec(
-            (q, q, QMonomial(-1, t + 1)),
-            (QMonomial(-1, 2), QMonomial(1, t + 2)),
-            q,
-            order,
-        )
+        (q, q, QMonomial(-1, t + 1)),
+        (QMonomial(-1, 2), QMonomial(1, t + 2)),
+        q,
+        order,
     )
     two = one_minus_product(phi2.times_monomial(2, 1), pref)
 
     # (iii): (q^{t+1};q)_oo (q^2;q)_oo / ((q^{t+2};q)_oo (q;q)_oo)
     phi3 = phi(
-        PhiSpec(
-            (q, QMonomial(-1, 1), QMonomial(1, 1 - t)),
-            (QMonomial(-1, 2), QMonomial(1, 2)),
-            QMonomial(1, t + 1),
-            order,
-        )
+        (q, QMonomial(-1, 1), QMonomial(1, 1 - t)),
+        (QMonomial(-1, 2), QMonomial(1, 2)),
+        QMonomial(1, t + 1),
+        order,
     )
     products = [
         *((1, k, 1) for k in range(t + 1, order)),
@@ -578,12 +574,10 @@ def _chain_steps(t: int, order: int) -> list[QSeries]:
 
     # (iv) doubled: (-q;q)_t/((1-q^t)(q;q)_t) * (1 - 2phi1)
     phi4 = phi(
-        PhiSpec(
-            (QMonomial(-1, 0), QMonomial(1, -t)),
-            (QMonomial(-1, 1),),
-            QMonomial(1, t + 1),
-            prec,
-        )
+        (QMonomial(-1, 0), QMonomial(1, -t)),
+        (QMonomial(-1, 1),),
+        QMonomial(1, t + 1),
+        prec,
     )
     four = one_minus_product(one(prec) - phi4, [*_ratio_factors(1, t), (1, t, -1)])
 

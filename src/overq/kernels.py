@@ -16,18 +16,19 @@ a float or a bool): multiply-add keeps ints as ints, and only
 ``divide_unit`` divides, through Fraction, when the unit's constant term
 is not +-1.
 
-Enumeration kernels walk partition trees once per call and accumulate exact
-integer counts, so results are arbitrary precision by construction.  The
-one oracle walk, ``window_diff_counts``, lists, for each largest part L,
-every multiset of interior values (strictly between the smallest part lo
-and L) once, after one copy of L; running sums along the residue classes
-mod lo and mod L then count the copies of both end parts.  Those sums are
-written inline in the walk and merge prefixes of equal total only for the
-end parts, whose copies change neither the spread nor the distinct count,
-so the oracles share no code with the coefficient kernels and never become
-a DP over the product formula they are meant to check: no interior factor
-is applied in bulk.  ``all_partition_weighted_counts`` sums the table of
-one such walk, at a spread bound that no partition of its sizes exceeds.
+The enumeration kernel, the spread walk ``window_diff_counts``, walks
+partition trees once per call and accumulates exact integer counts, so
+results are arbitrary precision by construction.  It lists, for each
+largest part L, every multiset of interior values (strictly between the
+smallest part lo and L) once, after one copy of L; running sums along the
+residue classes mod lo and mod L then count the copies of both end parts.
+Those sums are written inline in the walk and merge prefixes of equal
+total only for the end parts, whose copies change neither the spread nor
+the distinct count, so the oracles share no code with the coefficient
+kernels and never become a DP over the product formula they are meant to
+check: no interior factor is applied in bulk.
+``all_partition_weighted_counts`` sums the table of one such walk, at a
+spread bound that no partition of its sizes exceeds.
 
 A request scope (:class:`RequestScope`), which ``identities.run_checks``
 opens with its bound (t_max, order), owns the tables its checks share: the
@@ -163,35 +164,6 @@ def mul_one_minus(c, g, k):
 def div_one_minus(c, g, k):
     """Divide by the exact factor (1 - g*q^k), k >= 1; length preserved."""
     return one_minus_chain(c, ((g, k, -1),))
-
-
-def box_weighted_counts(max_part, max_parts):
-    """Weighted partition counts inside a box, indexed by the sum.
-
-    Entry n is the number of overpartitions of n whose underlying partition
-    has every part <= max_part and at most max_parts parts; each partition
-    contributes 2**(number of distinct part values).  Length is
-    max_part*max_parts + 1 and entry 0 counts the empty partition once.
-    """
-    cap = max_part * max_parts
-    acc = [0] * (cap + 1)
-    acc[0] = 1
-
-    def rec(maxv, slots, total, weight):
-        # Choose the next (largest remaining) distinct part value and its
-        # multiplicity; every call path builds each partition exactly once.
-        for v in range(maxv, 0, -1):
-            tot = total
-            w2 = weight * 2
-            for m in range(1, slots + 1):
-                tot += v
-                acc[tot] += w2
-                if m < slots and v > 1:
-                    rec(v - 1, slots - m, tot, w2)
-
-    if max_part >= 1 and max_parts >= 1:
-        rec(max_part, max_parts, 0, 1)
-    return acc
 
 
 def window_diff_counts(n_max, t):

@@ -1,4 +1,4 @@
-"""q-Pochhammer symbols, q-binomial coefficients and basic hypergeometric
+"""q-Pochhammer symbols, the over q-binomials and basic hypergeometric
 series, all as exact windowed series.
 
 Notation used in the docstrings: (a;q)_n = prod_{k=0}^{n-1} (1 - a*q^k),
@@ -82,7 +82,7 @@ def pochhammer_inf(a: QMonomial, prec: int) -> QSeries:
     return one_minus_product(one(prec), ((a.coeff, k, 1) for k in range(a.exp, prec)))
 
 
-# -- Gaussian and overpartition q-binomials -------------------------------------
+# -- over q-binomials ------------------------------------------------------------
 #
 # These are integer polynomials; the builders below run on plain int lists
 # and wrap the result as a QSeries only at the end.
@@ -114,17 +114,6 @@ def _wrap_poly(ints: list, width: int, prec: int | None) -> QSeries:
     if prec is None or prec == width:
         return s
     return s.pad_exact(prec) if prec > width else s.truncate(prec)
-
-
-def qbinom(m: int, n: int, prec: int | None = None) -> QSeries:
-    """Gaussian q-binomial: generating function, by the size being
-    partitioned, of partitions with at most n parts, each at most m.
-
-    The exact polynomial has degree m*n; the default window is [0, m*n+1).
-    """
-    _require_box(m, n)
-    width = m * n + 1 if prec is None else min(prec, m * n + 1)
-    return _wrap_poly(_gauss_ints(m, n, max(width, 0)), max(width, 0), prec)
 
 
 def over_qbinom_sum(m: int, n: int, prec: int | None = None) -> QSeries:
@@ -222,36 +211,16 @@ def over_qbinom_ladder(m: int, n: int, prec: int) -> QSeries:
 # -- basic hypergeometric series -------------------------------------------------
 
 
-class PhiSpec:
-    """Parameters of a phi series: monomial upper/lower parameters, a
-    monomial argument, and the output precision."""
-
-    __slots__ = ("upper", "lower", "argument", "prec")
-
-    upper: tuple[QMonomial, ...]
-    lower: tuple[QMonomial, ...]
-    argument: QMonomial
-    prec: int
-
-    def __init__(self, upper: Iterable[QMonomial], lower: Iterable[QMonomial],
-                 argument: QMonomial, prec: int):
-        object.__setattr__(self, "upper", tuple(upper))
-        object.__setattr__(self, "lower", tuple(lower))
-        object.__setattr__(self, "argument", argument)
-        object.__setattr__(self, "prec", prec)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PhiSpec is immutable")
-
-
 def _termination_index(upper: tuple[QMonomial, ...]) -> int | None:
     """Smallest n making a numerator factor vanish, or None."""
     stops = [-u.exp for u in upper if u.coeff == 1 and u.exp <= 0]
     return min(stops) if stops else None
 
 
-def phi(spec: PhiSpec) -> QSeries:
-    """Evaluate the phi series as an exact windowed series.
+def phi(upper: Iterable[QMonomial], lower: Iterable[QMonomial],
+        argument: QMonomial, prec: int) -> QSeries:
+    """The phi series with monomial upper and lower parameters and a
+    monomial argument, as an exact windowed series to the given prec.
 
     Terminating series (some upper parameter q^{-k}, k >= 0) are summed
     exactly, n = 0..k.  Otherwise the term valuations must grow without
@@ -275,7 +244,7 @@ def phi(spec: PhiSpec) -> QSeries:
             valuation (for example argument exponent < 1, or more upper
             than lower parameters).
     """
-    ups, lows, z, prec = spec.upper, spec.lower, spec.argument, spec.prec
+    ups, lows, z = tuple(upper), tuple(lower), argument
     for b in lows:
         if b.coeff == 1 and b.exp <= 0:
             raise PhiDivisionError(
@@ -383,7 +352,7 @@ def verify_chu(a: QMonomial, n: int, c: QMonomial, prec: int):
     """
     if n < 0:
         raise ValueError("termination index n must be >= 0")
-    lhs = phi(PhiSpec((a, QMonomial(1, -n)), (c,), (c * QMonomial(1, n)) / a, prec))
+    lhs = phi((a, QMonomial(1, -n)), (c,), (c * QMonomial(1, n)) / a, prec)
 
     ca = c / a
     boost = -sum(min(0, ca.exp + k) for k in range(n))

@@ -1,21 +1,19 @@
 """Brute-force oracles: scalar counts, series batching, the overpartition
-totals against the one-increment-per-part totals walk, and the independent
-flag-materializing enumeration that double-checks the weighted walks."""
+totals against the one-increment-per-part totals walk, and the weighted
+walks against the independent flag-materializing enumeration of
+``brute``, whose partition order is pinned here too."""
 
 import pytest
 
+from brute import iter_overpartitions, iter_partitions
 from overq import kernels
 from overq.enumeration import (
-    OverPartition,
-    PartitionInBox,
     count_g,
     count_opbar_bounded,
     count_opbar_total,
     count_p_bounded_diff,
     count_p_exact_diff,
     divisor_count,
-    iter_overpartitions,
-    iter_partitions,
     oracle_series,
     over_qbinom_box_oracle,
 )
@@ -154,21 +152,10 @@ def test_iter_partitions_has_no_depth_limit():
     assert list(iter_partitions(1200, max_part=1)) == [(1,) * 1200]
 
 
-def test_overpartition_objects_validate():
-    p = PartitionInBox((3, 1, 1))
-    assert p.spread() == 2
-    with pytest.raises(ValueError):
-        PartitionInBox((1, 3))
-    with pytest.raises(ValueError):
-        PartitionInBox((2, 0))
-    with pytest.raises(ValueError):
-        OverPartition(p, frozenset({2}))
-
-
 def test_iter_overpartitions_of_two():
     got = sorted(
-        (op.partition.parts, tuple(sorted(op.overlined)))
-        for op in iter_overpartitions(2)
+        (parts, tuple(sorted(overlined)))
+        for parts, overlined in iter_overpartitions(2)
     )
     assert got == [
         ((1, 1), ()), ((1, 1), (1,)), ((2,), ()), ((2,), (2,))
@@ -223,14 +210,13 @@ def test_totals_walk_matches_the_one_increment_per_part_walk():
 def test_bounded_and_half_weighted_match_flag_enumeration():
     for n in range(1, 11):
         for t in range(0, 5):
-            ops = [op for op in iter_overpartitions(n)
-                   if op.partition.spread() <= t]
+            ops = [(parts, overlined) for parts, overlined in iter_overpartitions(n)
+                   if parts[0] - parts[-1] <= t]
             assert count_opbar_bounded(n, t) == len(ops), (n, t)
             # when the spread is exactly t the largest part is never overlined
             kept = [
-                op for op in ops
-                if op.partition.spread() < t
-                or op.partition.parts[0] not in op.overlined
+                (parts, overlined) for parts, overlined in ops
+                if parts[0] - parts[-1] < t or parts[0] not in overlined
             ]
             assert count_g(n, t) == len(kept), (n, t)
 

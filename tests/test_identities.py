@@ -47,7 +47,7 @@ from overq.identities import (
     proof_chain_theorem1,
     run_checks,
 )
-from overq.qfunctions import PhiSpec, phi, pochhammer_inf
+from overq.qfunctions import phi, pochhammer_inf
 from overq.series import (
     QMonomial,
     QSeries,
@@ -729,23 +729,19 @@ def reference_chain_steps(t, order):
     # (ii)
     q = QMonomial(1, 1)
     phi2 = phi(
-        PhiSpec(
-            (q, q, QMonomial(-1, t + 1)),
-            (QMonomial(-1, 2), QMonomial(1, t + 2)),
-            q,
-            prec,
-        )
+        (q, q, QMonomial(-1, t + 1)),
+        (QMonomial(-1, 2), QMonomial(1, t + 2)),
+        q,
+        prec,
     )
     steps.append(mul(pref, phi2))
 
     # (iii)
     phi3 = phi(
-        PhiSpec(
-            (q, QMonomial(-1, 1), QMonomial(1, 1 - t)),
-            (QMonomial(-1, 2), QMonomial(1, 2)),
-            QMonomial(1, t + 1),
-            prec,
-        )
+        (q, QMonomial(-1, 1), QMonomial(1, 1 - t)),
+        (QMonomial(-1, 2), QMonomial(1, 2)),
+        QMonomial(1, t + 1),
+        prec,
     )
     num = mul(
         pochhammer_inf(QMonomial(1, t + 1), prec), pochhammer_inf(QMonomial(1, 2), prec)
@@ -757,12 +753,10 @@ def reference_chain_steps(t, order):
 
     # (iv)
     phi4 = phi(
-        PhiSpec(
-            (QMonomial(-1, 0), QMonomial(1, -t)),
-            (QMonomial(-1, 1),),
-            QMonomial(1, t + 1),
-            prec,
-        )
+        (QMonomial(-1, 0), QMonomial(1, -t)),
+        (QMonomial(-1, 1),),
+        QMonomial(1, t + 1),
+        prec,
     )
     f = div_one_minus(_times_ratio(one(prec), 1, t), 1, t)
     steps.append(mul(f, add(phi4, one(prec).scale(-1))).scale(Fraction(-1, 2)))
@@ -920,10 +914,6 @@ def _bump(real, e=5, c=1):
     return lambda *args: real(*args) + monomial(c, e, args[-1])
 
 
-def _bump_phi(real):
-    return lambda spec: real(spec) + monomial(1, 5, spec.prec)
-
-
 def _bump_pbar_at_2(real):
     # Only gf_pbar(2, .) moves, so case (2) = (gf_pbar(2) - gf_pbar(1))/2 does.
     def bumped(t, prec):
@@ -1021,7 +1011,7 @@ _PINNED = [
      "step (iv) deviates from step (v)"),
     ("chu", _chu, (), None,
      "terminating sum equals its product form to order 12"),
-    ("chu-phi", _chu, ((qfunctions, "phi", _bump_phi),), (5, "-1", "-2"),
+    ("chu-phi", _chu, ((qfunctions, "phi", _bump),), (5, "-1", "-2"),
      "terminating sum deviates from its product form"),
     ("corollary", lambda: check_corollary(2, 12), (), None,
      "parity, mod-4 congruence and square test hold for n <= 12"),

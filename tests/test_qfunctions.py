@@ -10,15 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brute import iter_partitions, qbinom
 from overq import kernels, qfunctions
-from overq.enumeration import iter_partitions, over_qbinom_box_oracle
+from overq.enumeration import over_qbinom_box_oracle
 from overq.identities import gf_G
 from overq.qfunctions import (
     _wrap_poly,
     NonconvergentPhiError,
     NonconvergentProductError,
     PhiDivisionError,
-    PhiSpec,
     _termination_index,
     over_qbinom_columns,
     over_qbinom_ladder,
@@ -26,7 +26,6 @@ from overq.qfunctions import (
     phi,
     pochhammer,
     pochhammer_inf,
-    qbinom,
     verify_chu,
 )
 from overq.series import (
@@ -342,28 +341,27 @@ def test_qbinom_loops_make_no_copy_only_kernel_calls(monkeypatch):
 
 def test_phi_two_term_hand_expansion():
     # 2phi1(-1, q^{-1}; -q; q^2) = 1 - 2q/(1+q) = (1-q)/(1+q)
-    spec = PhiSpec((MINUS_ONE, QMonomial(1, -1)), (MINUS_Q,), QMonomial(1, 2), 12)
-    lhs = phi(spec)
+    lhs = phi((MINUS_ONE, QMonomial(1, -1)), (MINUS_Q,), QMonomial(1, 2), 12)
     rhs = div(from_terms([(0, 1), (1, -1)], 12), from_terms([(0, 1), (1, 1)], 12))
     ok, mismatch = equal_to_order(lhs, rhs, 11)
     assert ok, mismatch
 
 
 def test_phi_upper_q_to_zero_terminates_immediately():
-    spec = PhiSpec((QMonomial(1, 3), QMonomial(1, 0)), (MINUS_Q,), QMonomial(1, 1), 9)
-    assert equal_to_order(phi(spec), one(9), 8)[0]
+    got = phi((QMonomial(1, 3), QMonomial(1, 0)), (MINUS_Q,), QMonomial(1, 1), 9)
+    assert equal_to_order(got, one(9), 8)[0]
 
 
 def test_phi_terminating_sum_matches_manual_assembly():
     # structural termination allows an argument exponent <= 0
     n_top = 2
-    spec = PhiSpec(
+    spec = (
         (QMonomial(1, 2), QMonomial(1, -n_top)),
         (QMonomial(-1, 2),),
         QMonomial(1, -1),
         8,
     )
-    got = phi(spec)
+    got = phi(*spec)
     work = 30
     acc = None
     for n in range(n_top + 1):
@@ -383,12 +381,10 @@ def test_phi_three_two_instance_matches_closed_form():
     # 3phi2(q, q, -q^3; -q^2, q^4; q) = (1+q)(q;q)_3 / (q (-q;q)_2) * gf_G(2)/2
     t = 2
     lhs = phi(
-        PhiSpec(
-            (Q, Q, QMonomial(-1, t + 1)),
-            (QMonomial(-1, 2), QMonomial(1, t + 2)),
-            Q,
-            12,
-        )
+        (Q, Q, QMonomial(-1, t + 1)),
+        (QMonomial(-1, 2), QMonomial(1, t + 2)),
+        Q,
+        12,
     )
     rhs = gf_G(t, 14).scale(Fraction(1, 2))
     rhs = mul_one_minus(rhs, -1, 1)
@@ -404,25 +400,25 @@ def test_phi_three_two_instance_matches_closed_form():
 def test_phi_rejects_vanishing_lower_parameter():
     for bad in (QMonomial(1, 0), QMonomial(1, -2)):
         with pytest.raises(PhiDivisionError):
-            phi(PhiSpec((Q,), (bad,), QMonomial(1, 2), 6))
+            phi((Q,), (bad,), QMonomial(1, 2), 6)
 
 
 def test_phi_rejects_nonterminating_constant_argument():
     with pytest.raises(NonconvergentPhiError):
-        phi(PhiSpec((Q, Q), (MINUS_Q,), QMonomial(1, 0), 6))
+        phi((Q, Q), (MINUS_Q,), QMonomial(1, 0), 6)
 
 
 def test_phi_rejects_surplus_upper_parameters():
     with pytest.raises(NonconvergentPhiError):
-        phi(PhiSpec((Q, Q, Q), (MINUS_Q,), Q, 6))
+        phi((Q, Q, Q), (MINUS_Q,), Q, 6)
 
 
 # -- phi against its former per-term QSeries loop ------------------------------------
 
 
-def reference_phi(spec):
+def reference_phi(upper, lower, z, prec):
     """The body phi had before it ran on one int list, kept verbatim."""
-    ups, lows, z, prec = spec.upper, spec.lower, spec.argument, spec.prec
+    ups, lows = tuple(upper), tuple(lower)
     for b in lows:
         if b.coeff == 1 and b.exp <= 0:
             raise PhiDivisionError(
@@ -502,31 +498,32 @@ def reference_phi(spec):
     return acc.truncate(prec)
 
 
-def assert_same_phi(spec):
-    """phi(spec) and reference_phi(spec) give the same window, values and
+def assert_same_phi(*spec):
+    """phi(*spec) and reference_phi(*spec) give the same window, values and
     coefficient types, or raise the same error with the same message."""
     try:
-        want = reference_phi(spec)
+        want = reference_phi(*spec)
     except QSeriesError as exc:
         with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
-            phi(spec)
+            phi(*spec)
         return
-    got = phi(spec)
+    got = phi(*spec)
     assert (got.lo, got.prec, got.coeffs) == (want.lo, want.prec, want.coeffs)
     assert list(map(type, got.coeffs)) == list(map(type, want.coeffs))
 
 
 def chain_and_chu_specs(t, prec):
-    """The PhiSpecs of proof-chain steps (ii)-(iv) and of the chu check at
-    termination index t, all at prec."""
+    """The phi parameters (upper, lower, argument, prec) of proof-chain
+    steps (ii)-(iv) and of the chu check at termination index t, all at
+    prec."""
     return [
-        PhiSpec((Q, Q, QMonomial(-1, t + 1)), (QMonomial(-1, 2), QMonomial(1, t + 2)),
-                Q, prec),
-        PhiSpec((Q, MINUS_Q, QMonomial(1, 1 - t)), (QMonomial(-1, 2), QMonomial(1, 2)),
-                QMonomial(1, t + 1), prec),
-        PhiSpec((MINUS_ONE, QMonomial(1, -t)), (MINUS_Q,), QMonomial(1, t + 1), prec),
-        PhiSpec((MINUS_ONE, QMonomial(1, -t)), (MINUS_Q,),
-                (MINUS_Q * QMonomial(1, t)) / MINUS_ONE, prec),
+        ((Q, Q, QMonomial(-1, t + 1)), (QMonomial(-1, 2), QMonomial(1, t + 2)),
+         Q, prec),
+        ((Q, MINUS_Q, QMonomial(1, 1 - t)), (QMonomial(-1, 2), QMonomial(1, 2)),
+         QMonomial(1, t + 1), prec),
+        ((MINUS_ONE, QMonomial(1, -t)), (MINUS_Q,), QMonomial(1, t + 1), prec),
+        ((MINUS_ONE, QMonomial(1, -t)), (MINUS_Q,),
+         (MINUS_Q * QMonomial(1, t)) / MINUS_ONE, prec),
     ]
 
 
@@ -537,37 +534,37 @@ def test_phi_matches_the_per_term_loop_on_the_chain_and_chu_specs(order):
     for t in range(0, 11):
         for prec in (order, order + 1):
             for spec in chain_and_chu_specs(t, prec)[0 if t else 3:]:
-                got = phi(spec)
+                got = phi(*spec)
                 assert all(type(c) is int for c in got.coeffs), (t, prec)
-                assert_same_phi(spec)
+                assert_same_phi(*spec)
 
 
 @pytest.mark.parametrize("spec", [
     # negative exponents: terminating sums with argument exponent <= 0, and
     # lower parameters below q^1 with a coefficient other than 1
-    PhiSpec((QMonomial(1, 2), QMonomial(1, -2)), (QMonomial(-1, 2),),
-            QMonomial(1, -1), 8),
-    PhiSpec((QMonomial(3, -2), QMonomial(1, -3)), (QMonomial(-2, -1),),
-            QMonomial(1, 1), 9),
-    PhiSpec((QMonomial(-1, -1),), (QMonomial(2, 0),), QMonomial(-1, 2), 10),
-    PhiSpec((Q, QMonomial(1, -4)), (QMonomial(-1, -2), MINUS_Q),
-            QMonomial(1, -3), 7),
+    ((QMonomial(1, 2), QMonomial(1, -2)), (QMonomial(-1, 2),),
+     QMonomial(1, -1), 8),
+    ((QMonomial(3, -2), QMonomial(1, -3)), (QMonomial(-2, -1),),
+     QMonomial(1, 1), 9),
+    ((QMonomial(-1, -1),), (QMonomial(2, 0),), QMonomial(-1, 2), 10),
+    ((Q, QMonomial(1, -4)), (QMonomial(-1, -2), MINUS_Q),
+     QMonomial(1, -3), 7),
     # non-+-1 coefficients, in the parameters and in the argument
-    PhiSpec((QMonomial(2, 1), QMonomial(-3, 2)), (QMonomial(5, 1),),
-            QMonomial(1, 1), 12),
-    PhiSpec((QMonomial(Fraction(1, 2), 1),), (QMonomial(-1, 2),),
-            QMonomial(3, 1), 11),
-    PhiSpec((Q, Q), (MINUS_Q,), QMonomial(Fraction(-2, 3), 1), 9),
-    PhiSpec((QMonomial(2, 0), QMonomial(1, -2)), (QMonomial(3, 1),),
-            QMonomial(2, 1), 8),
+    ((QMonomial(2, 1), QMonomial(-3, 2)), (QMonomial(5, 1),),
+     QMonomial(1, 1), 12),
+    ((QMonomial(Fraction(1, 2), 1),), (QMonomial(-1, 2),),
+     QMonomial(3, 1), 11),
+    ((Q, Q), (MINUS_Q,), QMonomial(Fraction(-2, 3), 1), 9),
+    ((QMonomial(2, 0), QMonomial(1, -2)), (QMonomial(3, 1),),
+     QMonomial(2, 1), 8),
     # more lower than upper parameters: the (-1)^n q^{n(n-1)/2} factor
-    PhiSpec((Q,), (MINUS_Q, QMonomial(1, 3)), QMonomial(-1, 0), 10),
-    PhiSpec((), (QMonomial(2, 1),), QMonomial(1, -2), 9),
+    ((Q,), (MINUS_Q, QMonomial(1, 3)), QMonomial(-1, 0), 10),
+    ((), (QMonomial(2, 1),), QMonomial(1, -2), 9),
     # a term window that drops past prec before the sum settles
-    PhiSpec((Q,), (), QMonomial(1, 4), 3),
+    ((Q,), (), QMonomial(1, 4), 3),
 ])
 def test_phi_matches_the_per_term_loop_off_the_chain(spec):
-    assert_same_phi(spec)
+    assert_same_phi(*spec)
 
 
 _MONOMIALS = st.builds(
@@ -585,29 +582,29 @@ _MONOMIALS = st.builds(
     prec=st.integers(1, 10),
 )
 def test_phi_matches_the_per_term_loop_on_random_specs(ups, lows, z, prec):
-    assert_same_phi(PhiSpec(ups, lows, z, prec))
+    assert_same_phi(ups, lows, z, prec)
 
 
 def test_phi_error_messages_are_pinned():
     for bad, shown in ((QMonomial(1, 0), "1"), (QMonomial(1, -2), "q^-2")):
         with pytest.raises(PhiDivisionError, match=re.escape(
                 f"lower parameter {shown} vanishes inside its Pochhammer factor")):
-            phi(PhiSpec((Q,), (bad,), QMonomial(1, 2), 6))
+            phi((Q,), (bad,), QMonomial(1, 2), 6)
     cases = [
-        (PhiSpec((Q, Q, Q), (MINUS_Q,), Q, 6),
+        (((Q, Q, Q), (MINUS_Q,), Q, 6),
          "more upper than lower parameters: terms lose valuation"),
-        (PhiSpec((Q, Q), (MINUS_Q,), QMonomial(1, 0), 6),
+        (((Q, Q), (MINUS_Q,), QMonomial(1, 0), 6),
          "argument 1 has exponent < 1 and the series does not terminate"),
-        (PhiSpec((Q, Q), (MINUS_Q,), QMonomial(-2, -1), 6),
+        (((Q, Q), (MINUS_Q,), QMonomial(-2, -1), 6),
          "argument -2*q^-1 has exponent < 1 and the series does not terminate"),
         # q^{n(n-1)/2} q^{-40 n} gains valuation only after 40 terms
-        (PhiSpec((Q,), (MINUS_Q,), QMonomial(1, -40), 4),
+        (((Q,), (MINUS_Q,), QMonomial(1, -40), 4),
          "phi series did not settle within 20 terms"),
     ]
     for spec, message in cases:
         with pytest.raises(NonconvergentPhiError, match=f"^{re.escape(message)}$"):
-            phi(spec)
-        assert_same_phi(spec)
+            phi(*spec)
+        assert_same_phi(*spec)
 
 
 # -- q-Chu-Vandermonde -------------------------------------------------------------

@@ -1,7 +1,8 @@
-"""The six immutable value types: constructor arguments and defaults, every
-validation error, refusal of attribute assignment, QMonomial's ==, hash and
-repr, and a report's dict form and sort key; MismatchInfo's fields, tuple
-behaviour and repr, and the Rational alias."""
+"""The three immutable value types, QMonomial, IdentityCheck and
+VerificationReport: constructor arguments and defaults, every validation
+error, refusal of attribute assignment, QMonomial's ==, hash and repr, and
+a report's dict form and sort key; MismatchInfo's fields, tuple behaviour
+and repr, and the Rational alias."""
 
 import copy
 import pickle
@@ -9,8 +10,6 @@ from fractions import Fraction
 
 import pytest
 
-from overq.enumeration import OverPartition, PartitionInBox
-from overq.qfunctions import PhiSpec
 from overq.reports import IdentityCheck, VerificationReport
 from overq.series import MismatchInfo, QMonomial, Rational
 
@@ -163,66 +162,15 @@ def test_report_to_dict_and_sort_key():
     assert ok.sort_key() == ("th1", "{}")
 
 
-# -- PhiSpec --------------------------------------------------------------------------
-
-
-def test_phispec_arguments():
-    q, z = QMonomial(1, 1), QMonomial(-1, 2)
-    s = PhiSpec([q, q], [], z, 8)
-    assert s.upper == (q, q) and type(s.upper) is tuple
-    assert s.lower == () and type(s.lower) is tuple
-    assert (s.argument, s.prec) == (z, 8)
-    k = PhiSpec(upper=iter([q]), lower=(z,), argument=q, prec=3)
-    assert (k.upper, k.lower, k.argument, k.prec) == ((q,), (z,), q, 3)
-    with pytest.raises(TypeError):
-        PhiSpec((q,), (), z)
-
-
-# -- partitions -----------------------------------------------------------------------
-
-
-def test_partition_in_box_arguments_and_validation():
-    p = PartitionInBox((3, 1, 1))
-    assert p.parts == (3, 1, 1) and p.spread() == 2
-    assert PartitionInBox(parts=(4,)).spread() == 0
-    assert PartitionInBox(()).spread() == 0
-    with pytest.raises(ValueError, match="parts must be positive"):
-        PartitionInBox((2, 0))
-    with pytest.raises(ValueError, match="parts must be positive"):
-        PartitionInBox((-1,))
-    with pytest.raises(ValueError, match="parts must be non-increasing"):
-        PartitionInBox((1, 3))
-    with pytest.raises(TypeError):
-        PartitionInBox()
-
-
-def test_overpartition_arguments_and_validation():
-    p = PartitionInBox((3, 1, 1))
-    op = OverPartition(p, frozenset({3}))
-    assert op.partition is p and op.overlined == frozenset({3})
-    kw = OverPartition(partition=p, overlined=frozenset())
-    assert kw.overlined == frozenset()
-    assert OverPartition(p, {1, 3}).overlined == {1, 3}
-    with pytest.raises(ValueError, match="must occur in the partition"):
-        OverPartition(p, frozenset({2}))
-    with pytest.raises(TypeError):
-        OverPartition(p)
-
-
 # -- immutability ---------------------------------------------------------------------
 
 
 _CHECK = IdentityCheck("th1", {"t": 1}, 4)
-_PARTITION = PartitionInBox((2, 1))
-_Q = QMonomial(1, 1)
 INSTANCES = [
     (QMonomial(2, 3), ("coeff", "exp")),
     (_CHECK, ("name", "params", "order")),
     (VerificationReport(_CHECK, "pass", None, "ok"),
      ("check", "status", "first_mismatch", "message")),
-    (PhiSpec((_Q,), (), _Q, 5), ("upper", "lower", "argument", "prec")),
-    (_PARTITION, ("parts",)),
-    (OverPartition(_PARTITION, frozenset({1})), ("partition", "overlined")),
 ]
 
 

@@ -7,15 +7,10 @@ the coefficient kernels."""
 
 import pytest
 
+from brute import iter_overpartitions, iter_partitions
 from overq import enumeration, kernels
 from overq.cli import main
-from overq.enumeration import (
-    ORACLE_KINDS,
-    count_p_exact_diff,
-    iter_overpartitions,
-    iter_partitions,
-    oracle_series,
-)
+from overq.enumeration import ORACLE_KINDS, count_p_exact_diff, oracle_series
 from overq.identities import run_checks
 from overq.series import coeff
 
@@ -290,17 +285,16 @@ def test_walk_table_matches_flag_enumeration():
     assert kernels.BACKEND == "pure"
     assert all(callable(getattr(kernels, name, None)) for name in (
         "convolve", "invert_unit", "divide_unit", "one_minus_chain",
-        "mul_one_minus", "div_one_minus", "box_weighted_counts", "window_diff_counts",
+        "mul_one_minus", "div_one_minus", "window_diff_counts",
         "all_partition_weighted_counts",
     ))
     table = kernels.window_diff_counts(12, 4)
     for n in range(1, 13):
         flags = {}
-        for op in iter_overpartitions(n):
-            parts = op.partition.parts
-            key = (op.partition.spread(), len(set(parts)))
+        for parts, overlined in iter_overpartitions(n):
+            key = (parts[0] - parts[-1], len(set(parts)))
             all_, top_free = flags.get(key, (0, 0))
-            flags[key] = (all_ + 1, top_free + (parts[0] not in op.overlined))
+            flags[key] = (all_ + 1, top_free + (parts[0] not in overlined))
         for s in range(5):
             for d in range(len(table[s])):
                 # d distinct values give 2**d overline choices, half of them
