@@ -162,6 +162,19 @@ def test_iter_overpartitions_of_two():
     ]
 
 
+def test_overpartition_objects_validate():
+    # Every pair is an overpartition of n, and none comes twice: positive
+    # parts, largest first, summing to n, overlined values among the parts.
+    for n in range(9):
+        pairs = list(iter_overpartitions(n))
+        assert len(set(pairs)) == len(pairs), n
+        for parts, overlined in pairs:
+            assert sum(parts) == n and all(p >= 1 for p in parts), (n, parts)
+            assert list(parts) == sorted(parts, reverse=True), parts
+            assert type(overlined) is frozenset, overlined
+            assert overlined <= set(parts), (parts, overlined)
+
+
 # -- the weighted walks against the flag-materializing enumeration -----------------
 
 
@@ -205,6 +218,22 @@ def test_totals_walk_matches_the_one_increment_per_part_walk():
     for n in range(49):
         got = kernels.all_partition_weighted_counts(n)
         assert got == reference_all_partition_weighted_counts(n), n
+
+
+def test_box_oracle_matches_flag_enumeration():
+    # Coefficient k of the m x n box oracle counts the overpartitions of k
+    # with at most n parts, each at most m.
+    for m in range(5):
+        for n in range(5):
+            want = [
+                sum(1 for parts, _ in iter_overpartitions(k)
+                    if len(parts) <= n and (not parts or parts[0] <= m))
+                for k in range(m * n + 1)
+            ]
+            assert ints(over_qbinom_box_oracle(m, n)) == want, (m, n)
+    for m, n in ((-1, 2), (2, -1)):
+        with pytest.raises(ValueError, match="box dimensions must be >= 0"):
+            over_qbinom_box_oracle(m, n)
 
 
 def test_bounded_and_half_weighted_match_flag_enumeration():

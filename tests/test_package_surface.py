@@ -9,14 +9,21 @@ imported from a sibling) or an attribute of a sibling module
 (``kernels.convolve``).  Reaching a class reaches its whole body.
 Statements that run at import, outside any definition, are not roots, so a
 name read only there counts as unreached.  Code kept for the tests alone
-belongs in ``tests/brute.py``.
+belongs in ``tests/brute.py``.  The pass is itself checked on copies of the
+package with code planted in them, and a last test checks that the
+benchmark's tracer finds every function it wraps.
 """
 
 import ast
+import importlib
+import shutil
+import sys
+import textwrap
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "overq"
 ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # Names nothing in the package reaches that stay on purpose.
 ALLOWED = {
@@ -79,12 +86,12 @@ def _references(nodes, module, local, imported, modules):
                 yield modules[sub.value.id], sub.attr
 
 
-def unreached_names():
-    """Every (module, name) defined at module level in the package that no
-    root reaches, sorted."""
+def unreached_names(package=PACKAGE):
+    """Every (module, name) defined at module level in the package at the
+    given path that no root reaches, sorted."""
     graph = {}  # (module, name) -> the (module, name) pairs it refers to
     roots = [("cli", "main"), ("cli", "run")]
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(package.glob("*.py")):
         module = path.stem
         tree = ast.parse(path.read_text(), str(path))
         defs = _definitions(tree)
@@ -118,3 +125,81 @@ def test_every_module_level_name_is_reached_or_allowed():
 def test_the_allowed_names_exist_and_are_unreached():
     # An allowed name that is gone, or is reached after all, leaves the list.
     assert set(ALLOWED) <= set(unreached_names())
+
+
+def _planted_copy(tmp_path, additions):
+    """A copy of the package with the given source appended to modules."""
+    copy = tmp_path / "overq"
+    shutil.copytree(PACKAGE, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    for module, text in additions.items():
+        path = copy / f"{module}.py"
+        path.write_text(path.read_text() + "\n" + textwrap.dedent(text))
+    return copy
+
+
+def test_the_pass_flags_code_only_the_tests_use(tmp_path):
+    # A dead function is flagged, and so is a helper only a dead function
+    # calls; the reached helpers a dead function calls are not.
+    copy = _planted_copy(tmp_path, {
+        "enumeration": """
+            def iter_overpartitions(n):
+                return _subsets(range(n))
+
+            def _subsets(values):
+                return values
+            """,
+        "qfunctions": """
+            def qbinom(m, n):
+                return _wrap_poly(_gauss_ints(m, n, m * n + 1), m * n + 1, None)
+            """,
+    })
+    planted = set(unreached_names(copy)) - set(unreached_names())
+    assert planted == {
+        ("enumeration", "_subsets"),
+        ("enumeration", "iter_overpartitions"),
+        ("qfunctions", "qbinom"),
+    }
+
+
+def test_the_pass_follows_exports_and_module_attributes_not_import_time_reads(
+        tmp_path):
+    # A name the package exports is a root, and it reaches what it reads as
+    # an attribute of a sibling module; a name read only by a statement that
+    # runs at import is still flagged.
+    copy = _planted_copy(tmp_path, {
+        "__init__": "from .enumeration import planted_export\n",
+        "enumeration": """
+            def planted_export():
+                return kernels._planted_leaf()
+
+            _READ_AT_IMPORT = 1
+            _SET_AT_IMPORT = _READ_AT_IMPORT
+            """,
+        "kernels": """
+            def _planted_leaf():
+                return 0
+            """,
+    })
+    planted = set(unreached_names(copy)) - set(unreached_names())
+    assert planted == {
+        ("enumeration", "_READ_AT_IMPORT"),
+        ("enumeration", "_SET_AT_IMPORT"),
+    }
+
+
+def test_the_benchmark_tracer_finds_every_name_it_wraps(monkeypatch):
+    # perfbench/tracer.py wraps package functions by name, so renaming or
+    # deleting one of them fails here as well as in a traced benchmark run.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    try:
+        tracer = importlib.import_module("tracer")
+        missing = [
+            f"{home}.{fn}"
+            for _, table, home, _ in tracer.PATCHES
+            for fn in table
+            if not hasattr(tracer._resolve(home), fn)
+        ]
+    finally:
+        for name in ("tracer", "reference"):
+            sys.modules.pop(name, None)
+    assert tracer.PATCHES and not missing, missing

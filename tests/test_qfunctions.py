@@ -347,6 +347,18 @@ def test_phi_two_term_hand_expansion():
     assert ok, mismatch
 
 
+def test_phi_arguments():
+    # phi reads its upper and lower parameters from any iterable, once each,
+    # takes every parameter by keyword, and has no default precision.
+    ups, lows, z = (MINUS_ONE, QMonomial(1, -1)), (MINUS_Q,), QMonomial(1, 2)
+    want = phi(ups, lows, z, 12)
+    assert phi(list(ups), list(lows), z, 12) == want
+    assert phi(iter(ups), iter(lows), z, 12) == want
+    assert phi(upper=iter(ups), lower=lows, argument=z, prec=12) == want
+    with pytest.raises(TypeError):
+        phi(ups, lows, z)
+
+
 def test_phi_upper_q_to_zero_terminates_immediately():
     got = phi((QMonomial(1, 3), QMonomial(1, 0)), (MINUS_Q,), QMonomial(1, 1), 9)
     assert equal_to_order(got, one(9), 8)[0]
