@@ -100,22 +100,14 @@ def _ratio_factors(lo: int, hi: int) -> list:
     return [f for k in range(lo, hi + 1) for f in ((-1, k, 1), (1, k, -1))]
 
 
-def _times_ratio(s: QSeries, lo: int, hi: int) -> QSeries:
-    """s * prod_{k=lo}^{hi} (1 + q^k)/(1 - q^k); s itself when hi < lo.
-
-    Factors with k at or beyond the window width are 1 on it, so k stops
-    there and a huge hi costs no more than the width.
-    """
-    return one_minus_product(s, _ratio_factors(lo, min(hi, s.prec - s.lo - 1)))
-
-
 def _ratio_minus_one(t: int, prec: int) -> QSeries:
     """(-q;q)_t / (q;q)_t - 1: nonempty overpartitions with parts <= t.
 
     A factor with k >= prec is 1 on the window [0, prec), so k stops at
     prec - 1 and a huge t costs no more than t = prec - 1.
     """
-    return add(_times_ratio(one(prec), 1, min(t, prec - 1)), one(prec).scale(-1))
+    ratio = one_minus_product(one(prec), _ratio_factors(1, min(t, prec - 1)))
+    return add(ratio, one(prec).scale(-1))
 
 
 def gf_G(t: int, prec: int) -> QSeries:

@@ -210,7 +210,6 @@ def window_diff_counts(n_max, t):
         for s in range(t + 1)
     ]
 
-    sink = [0] * (n_max + 1)
     for L in range(1, n_max + 1):
         row = acc[0][1]
         for tot in range(L, n_max + 1, L):
@@ -231,11 +230,11 @@ def window_diff_counts(n_max, t):
                 d += 1
             d_hi.append(d)
         # loc[s][d]: the local rows, d = 2..d_hi[s].  The other places hold
-        # one shared sink row, which nothing writes or reads: a spare last
-        # place lets the v = lo + 2 loop look up the row of lo + 1 before it
-        # knows that anything fits in it.
+        # None, which nothing writes or reads: a spare last place lets the
+        # v = lo + 2 loop look up the row of lo + 1 before it knows that
+        # anything fits in it.
         loc = [None] + [
-            [sink, sink, *([0] * (n_max + 1) for _ in range(d_hi[s] - 1)), sink]
+            [None, None, *([0] * (n_max + 1) for _ in range(d_hi[s] - 1)), None]
             for s in range(1, L - lo)
         ]
         lo1 = lo + 1

@@ -136,8 +136,6 @@ def over_qbinom_sum(m: int, n: int, prec: int | None = None) -> QSeries:
     _require_box(m, n)
     natural = m * n + 1
     width = natural if prec is None else max(0, min(prec, natural))
-    if width == 0:
-        return _wrap_poly([], 0, prec)
     term = _gauss_ints(m, n, width)
     acc = list(term)
     # Term k + 1 has valuation v = (k+1)(k+2)/2.  A factor (1 - q^e) changes

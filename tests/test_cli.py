@@ -243,6 +243,10 @@ def test_verify_empty_domain_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "verify", "--check", "th1", "--t-max", "0")
     assert code == 2
     assert "t_max" in err
+    # Under "all" a family is skipped below its lowest t; when that skips
+    # every family, nothing runs, and that is a usage error too.
+    assert run_cli(capsys, "verify", "--check", "all", "--t-max", "-1") == (
+        2, "", "error: no checks to run for 'all' with --t-max -1\n")
 
 
 def test_verify_unknown_selector_exits_two():

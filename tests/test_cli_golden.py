@@ -149,7 +149,11 @@ def test_entry_point_on_a_broken_stdout_pipe(unbuffered, code, first):
         os.close(write_end)
     lines = done.stderr.splitlines()
     assert done.returncode == code
-    assert lines[0].startswith(first)
+    # Python 3.13 names the failed final flush: "Exception ignored on
+    # flushing sys.stdout:".
+    assert lines[0].startswith(first) or (
+        not unbuffered and sys.version_info >= (3, 13)
+        and lines[0] == "Exception ignored on flushing sys.stdout:")
     assert lines[-1] == "BrokenPipeError: [Errno 32] Broken pipe"
 
 

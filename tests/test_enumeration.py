@@ -1,12 +1,11 @@
-"""Brute-force oracles: scalar counts, series batching, the overpartition
-totals against the one-increment-per-part totals walk, and the weighted
-walks against the independent flag-materializing enumeration of
-``brute``, whose partition order is pinned here too."""
+"""Brute-force oracles: scalar counts, series batching, and the weighted
+walks, the overpartition totals among them, against the independent
+flag-materializing enumeration of ``brute``, whose partition order is
+pinned here too."""
 
 import pytest
 
 from brute import iter_overpartitions, iter_partitions
-from overq import kernels
 from overq.enumeration import (
     count_g,
     count_opbar_bounded,
@@ -101,6 +100,9 @@ def test_oracle_series_contract():
         oracle_series("g_t", None, 5)
     with pytest.raises(ValueError):
         oracle_series("d", None, 0)
+    for kind in ("p_t", "p_exact_t", "pbar_t", "g_t"):
+        with pytest.raises(ValueError, match="^spread bound t must be >= 0, got -1$"):
+            oracle_series(kind, -1, 5)
 
 
 # -- partition and overpartition iterators -----------------------------------------
@@ -182,42 +184,6 @@ def test_totals_match_flag_enumeration():
     for n in range(1, 13):
         flags = sum(1 for _ in iter_overpartitions(n))
         assert count_opbar_total(n) == flags, n
-
-
-# The former totals walk, kept verbatim: it adds 1 per multiplicity of every
-# part, parts of size 1 included.
-def reference_all_partition_weighted_counts(n_max):
-    """Overpartition totals: entry n is sum over partitions of 2**distinct.
-
-    Entry 0 counts the empty partition once.  No constraint on parts.
-    """
-    acc = [0] * (n_max + 1)
-    acc[0] = 1
-
-    def rec(maxv, total, weight):
-        top = n_max - total
-        if top > maxv:
-            top = maxv
-        for v in range(top, 0, -1):
-            tot = total
-            w2 = weight * 2
-            while True:
-                tot += v
-                if tot > n_max:
-                    break
-                acc[tot] += w2
-                if v > 1:
-                    rec(v - 1, tot, w2)
-
-    if n_max >= 1:
-        rec(n_max, 0, 1)
-    return acc
-
-
-def test_totals_walk_matches_the_one_increment_per_part_walk():
-    for n in range(49):
-        got = kernels.all_partition_weighted_counts(n)
-        assert got == reference_all_partition_weighted_counts(n), n
 
 
 def test_box_oracle_matches_flag_enumeration():

@@ -95,6 +95,18 @@ def test_gf_abr_values():
         gf_abr(1, 10)
 
 
+def test_gf_abr_below_spread_t_makes_no_kernel_call(monkeypatch):
+    # Spread t needs n >= t + 2, so below that the series is zero and is
+    # made with no kernel call, however large t is.
+    def no_kernel(*args):
+        raise AssertionError("no kernel call expected")
+    monkeypatch.setattr(kernels, "one_minus_chain", no_kernel)
+    s = gf_abr(10**9, 5)
+    assert (s.lo, s.prec, s.coeffs) == (5, 5, ())
+    s = gf_abr(4, 6)
+    assert (s.lo, s.prec, s.coeffs) == (3, 6, (0, 0, 0))
+
+
 def test_gf_exact_low_spread_values():
     ok, _ = equal_to_order(gf_p_exact_low(0, 31),
                            oracle_series("p_exact_t", 0, 30), 30)
@@ -491,6 +503,10 @@ def test_direct_sums_match_closed_forms():
     assert ints(gf_g_direct(1, 3)) == [2, 4]
     ok, _ = equal_to_order(gf_g_direct(2, 41), gf_G(2, 41), 40)
     assert ok
+    with pytest.raises(ValueError, match="^gf_pbar_direct needs t >= 0, got -1$"):
+        gf_pbar_direct(-1, 10)
+    with pytest.raises(ValueError, match="^gf_g_direct needs t >= 1, got 0$"):
+        gf_g_direct(0, 10)
 
 
 def test_direct_sums_raise_on_a_misplaced_summand(monkeypatch):
@@ -1009,6 +1025,10 @@ _PINNED = [
     ("proofchain-g", lambda: proof_chain_theorem1(2, 12),
      ((identities, "gf_G", _bump),), (5, "9", "19/2"),
      "step (iv) deviates from step (v)"),
+    # At the window start of gf_G's side the half is a Fraction too.
+    ("proofchain-g-start", lambda: proof_chain_theorem1(2, 12),
+     ((identities, "gf_G", lambda real: _bump(real, 0, 1)),), (0, "0", "1/2"),
+     "step (iv) deviates from step (v)"),
     ("chu", _chu, (), None,
      "terminating sum equals its product form to order 12"),
     ("chu-phi", _chu, ((qfunctions, "phi", _bump),), (5, "-1", "-2"),
@@ -1021,6 +1041,9 @@ _PINNED = [
     ("corollary-nonsquare", lambda: check_corollary(2, 12),
      ((identities, "gf_pbar", lambda real: _bump(real, 5, 2)),), (5, "2", "0"),
      "count at q^5 is not congruent to twice the divisor count mod 4"),
+    ("corollary-one", lambda: check_corollary(2, 12),
+     ((identities, "gf_pbar", lambda real: _bump(real, 1, 2)),), (1, "0", "2"),
+     "count at q^1 is not congruent to twice the divisor count mod 4"),
 ]
 
 
@@ -1143,6 +1166,23 @@ def test_run_checks_domain_errors():
         run_checks("nope", 3, 20)
     with pytest.raises(ValueError):
         run_checks("th1", 3, 0)
+
+
+def test_each_check_refuses_its_domain_itself():
+    # Called directly, not through run_checks, each check family refuses an
+    # order below 1, and a t below its lowest, with its own message.
+    for check in (check_th1, check_th2, check_bk, check_abr, check_pbar_g_relation,
+                  check_oqbinom_pbar, check_three_cases, proof_chain_theorem1):
+        with pytest.raises(ValueError, match="^comparison order must be >= 1, got 0$"):
+            check(3, 0)
+    for check, t, message in (
+        (check_pbar_g_relation, 0, "relation needs t >= 1, got 0"),
+        (check_oqbinom_pbar, -1, "oqbinom check needs t >= 0, got -1"),
+        (check_three_cases, 0, "three-case split needs t >= 1, got 0"),
+        (proof_chain_theorem1, 0, "proof chain needs t >= 1, got 0"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check(t, 20)
 
 
 def test_run_checks_inject_mismatch_hits_th1_only():

@@ -1,15 +1,17 @@
-"""The coefficient kernels and series.add against the per-coefficient loops
-they replaced, kept verbatim below as test-only references.
+"""The coefficient kernels and series.add against the loops they replaced,
+kept verbatim below as test-only references, one for each kernel: convolve
+against the per-coefficient loop, one_minus_chain against the one-factor
+kernels it replaced, applied one factor at a time, divide_unit against the
+product with the inverse, both taken from the per-coefficient loops (so
+also invert_unit, which is divide_unit with the dividend 1), series.div
+against mul(a, invert(b)), and add against the per-exponent loop.
 
 Values must always agree.  Types must agree entry by entry on int inputs,
 and on every input for the kernels whose rewrite does the same arithmetic
-in the same order (mul_one_minus, invert_unit, add).  convolve may drive
-its loop from either operand and div_one_minus's accumulate path does not
-skip zero terms, so with Fraction inputs they may return a zero as 0 where
-the reference gave Fraction(0), or the other way round.  one_minus_chain
-does the arithmetic of the one-factor kernels it replaced, so against
-their bodies types agree on every input.  divide_unit and series.div
-solve for the quotient where mul(a, invert(b)) multiplies by the
+in the same order (one_minus_chain, add).  convolve may drive its loop
+from either operand, so with Fraction inputs it may return a zero as 0
+where the reference gave Fraction(0), or the other way round.  divide_unit
+and series.div solve for the quotient where the product multiplies by the
 reciprocal, so there too only a zero's type may differ, and only when a
 Fraction is involved.
 """
@@ -74,38 +76,6 @@ def reference_invert_unit(c, n_out):
             out.append(s * neg)
         else:
             out.append(Fraction(-s, c0))
-    return out
-
-
-def reference_mul_one_minus(c, g, k):
-    """Multiply by the exact factor (1 - g*q^k), k >= 1; length preserved."""
-    n = len(c)
-    if g == 1:
-        return [c[i] - c[i - k] if i >= k else c[i] for i in range(n)]
-    if g == -1:
-        return [c[i] + c[i - k] if i >= k else c[i] for i in range(n)]
-    return [c[i] - g * c[i - k] if i >= k else c[i] for i in range(n)]
-
-
-def reference_div_one_minus(c, g, k):
-    """Divide by the exact factor (1 - g*q^k), k >= 1; length preserved."""
-    n = len(c)
-    out = list(c)
-    if g == 1:
-        for i in range(k, n):
-            prev = out[i - k]
-            if prev:
-                out[i] = out[i] + prev
-    elif g == -1:
-        for i in range(k, n):
-            prev = out[i - k]
-            if prev:
-                out[i] = out[i] - prev
-    else:
-        for i in range(k, n):
-            prev = out[i - k]
-            if prev:
-                out[i] = out[i] + g * prev
     return out
 
 
@@ -220,32 +190,6 @@ def test_convolve_matches_the_gather_loop(data):
     assert len(new) == n_out
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_invert_unit_matches_the_dense_loop(data):
-    kind = data.draw(KINDS)
-    c0 = data.draw(st.sampled_from((1, -1)) | coeff(kind).filter(bool))
-    c = [c0] + data.draw(coeff_lists(kind))
-    n_out = data.draw(st.integers(0, len(c) + 3))
-    new = kernels.invert_unit(c, n_out)
-    assert_same(new, reference_invert_unit(c, n_out), True)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_one_minus_factors_match_the_per_entry_loops(data):
-    kind = data.draw(KINDS)
-    c = data.draw(coeff_lists(kind, max_size=40))
-    g = data.draw(G if kind != "int" else G.filter(lambda g: type(g) is int))
-    # k >= len(c) included, and k*k < len(c) for the accumulate path
-    k = data.draw(st.integers(1, len(c) + 2) | st.integers(1, 5))
-    c = data.draw(st.sampled_from((c, tuple(c))))
-    assert_same(kernels.mul_one_minus(c, g, k), reference_mul_one_minus(c, g, k), True)
-    assert_same(
-        kernels.div_one_minus(c, g, k), reference_div_one_minus(c, g, k), kind == "int"
-    )
-
-
 def apply_each(c, factors, mul_one, div_one):
     for g, k, e in factors:
         c = (mul_one if e > 0 else div_one)(c, g, k)
@@ -264,8 +208,6 @@ def test_one_minus_chain_matches_the_per_factor_loops(data):
     c = data.draw(st.sampled_from((c, tuple(c))))
     new = kernels.one_minus_chain(c, factors)
     assert len(new) == len(c)
-    assert_same(new, apply_each(c, factors, reference_mul_one_minus,
-                                reference_div_one_minus), kind == "int")
     assert_same(new, apply_each(c, factors, former_mul_one_minus,
                                 former_div_one_minus), True)
 

