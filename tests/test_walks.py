@@ -1,10 +1,11 @@
-"""The shared spread walk: its table against one reference, the
-one-increment-per-part walk it replaced, and against the independent
-oracles, plain and flag-materializing enumeration; the sizes the oracle
-walks are made at, inside a request scope and out; and the oracle's
-independence from the coefficient kernels.  The statistics derived from the
-table are checked against flag enumeration in ``test_enumeration.py`` and
-against every closed form in ``test_acceptance.py``."""
+"""The shared spread walk: its table against the one-increment-per-part
+walk it replaced, against the smallest-part-first walk before that at small
+sizes, and against the independent oracles, plain and flag-materializing
+enumeration; the sizes the oracle walks are made at, inside a request scope
+and out; and the oracle's independence from the coefficient kernels.  The
+statistics derived from the table are checked against flag enumeration in
+``test_enumeration.py`` and against every closed form in
+``test_acceptance.py``."""
 
 import pytest
 
@@ -80,6 +81,58 @@ def reference_largest_part_first_table(n_max, t):
     return acc
 
 
+# -- reference: the former smallest-part-first spread walk, kept verbatim ----------
+
+
+def reference_spread_table(n_max, t):
+    """Partition counts by exact spread and number of distinct part values.
+
+    Returns c with c[s][d][n] the number of partitions of n (1 <= n <= n_max)
+    with spread (largest part minus smallest) exactly s and d distinct part
+    values, for 0 <= s <= t.  Row c[s] holds d = 0..min(s + 1, d_max), where
+    d_max is the largest d with d*(d+1)/2 <= n_max: no partition of n_max or
+    less has more distinct values.  Entry n = 0 and row d = 0 are always 0,
+    since the empty partition has no smallest part.
+
+    Each partition with spread at most t is visited once and adds 1 to one
+    entry, so any statistic of (spread, distinct values) follows by weighted
+    sums over the rows.
+    """
+    d_max = 0
+    while (d_max + 1) * (d_max + 2) // 2 <= n_max:
+        d_max += 1
+    acc = [
+        [[0] * (n_max + 1) for _ in range(min(s + 1, d_max) + 1)]
+        for s in range(t + 1)
+    ]
+
+    for m in range(1, n_max + 1):
+        top = m + t
+
+        def rec(last, total, nd):
+            # Add each value in (last, top] with multiplicity >= 1; a call is
+            # made only when at least one more value fits.
+            nd += 1
+            for v in range(last + 1, min(top, n_max - total) + 1):
+                row = acc[v - m][nd]
+                deeper = v < top
+                lim = n_max - v
+                for tot in range(total + v, n_max + 1, v):
+                    row[tot] += 1
+                    if deeper and tot < lim:
+                        rec(v, tot, nd)
+
+        # The smallest part m appears at least once; larger values are
+        # optional and strictly increasing, so each multiset is hit once.
+        row = acc[0][1]
+        lim = n_max - m
+        for tot in range(m, n_max + 1, m):
+            row[tot] += 1
+            if t and tot < lim:
+                rec(m, tot, 1)
+    return acc
+
+
 @pytest.fixture
 def walks(monkeypatch):
     """Record every oracle walk."""
@@ -111,6 +164,25 @@ def test_walk_table_matches_the_one_increment_per_part_walk_at_small_sizes():
         for t in range(n_max + 1):
             got = kernels.window_diff_counts(n_max, t)
             assert got == reference_largest_part_first_table(n_max, t), (n_max, t)
+
+
+# -- the largest-part-first walk against the smallest-part-first one ---------------
+# The smallest-part-first walk came before the one-increment-per-part walk and
+# reaches each partition from the other end; it is kept only at the sizes
+# where it is cheap: every t at small n_max and the t = n_max - 1 tables.
+
+
+@pytest.mark.parametrize("n_max, t", [(32, 31), (40, 39), (48, 47)])
+def test_walk_table_matches_the_smallest_part_first_walk(n_max, t):
+    assert kernels.window_diff_counts(n_max, t) == reference_spread_table(n_max, t)
+
+
+def test_walk_table_matches_the_smallest_part_first_walk_at_small_sizes():
+    # Covers n_max = 1, t = 0, t >= n_max and every d_max row trimming.
+    for n_max in range(1, 21):
+        for t in range(n_max + 1):
+            got = kernels.window_diff_counts(n_max, t)
+            assert got == reference_spread_table(n_max, t), (n_max, t)
 
 
 def test_walk_table_counts_each_partition_once():
