@@ -14,11 +14,12 @@ smallest part on its own and counts the copies of both end parts in bulk
 (see ``kernels.window_diff_counts``).  Its table is turned into every
 spread statistic at every spread bound it reaches, by weighted row sums and
 running sums over the spread (``_spread_statistics``), and a read takes a
-slice; the kernels docstring says when a walk is made and how long it is
-held.  The overpartition totals are that walk's table at a bound that no
-partition of the sizes asked for exceeds, summed over every spread and
-distinct count, and are made afresh for each call.  The over q-binomial
-oracle walks the partitions of its box itself.
+slice of one row of a walk made at ``kernels.bound(t)``: inside a request
+scope the reads of one n share one walk (see the kernels docstring).  The
+overpartition totals are that walk's table at a bound that no partition of
+the sizes asked for exceeds, summed over every spread and distinct count,
+and are made afresh for each call.  The over q-binomial oracle walks the
+partitions of its box itself.
 """
 
 from __future__ import annotations
@@ -62,9 +63,10 @@ def _require_t(t: int) -> None:
 
 
 def _spread_statistics(n_max: int, t: int) -> dict[str, list[list[int]]]:
-    """Every spread statistic for every bound up to t, from one spread walk
-    to n_max, as weighted row sums of its table c[s][d][n] (s <= t): kind
-    -> rows by bound, each indexed by n.
+    """Every spread statistic for every bound up to min(t, n_max), from one
+    spread walk to n_max, as weighted row sums of its table c[s][d][n]: kind
+    -> rows by bound, each indexed by n.  No partition of n_max or less has
+    a spread past n_max, so the bound is clamped there.
 
     p_t counts partitions with spread s <= t, p_exact_t those with s == t;
     pbar_t weighs each by 2**d (its overpartitions), and g_t does too except
@@ -77,7 +79,7 @@ def _spread_statistics(n_max: int, t: int) -> dict[str, list[list[int]]]:
     stats: dict[str, list[list[int]]] = {
         kind: [] for kind in ("p_t", "p_exact_t", "pbar_t", "g_t")}
     p = pbar = [0] * width
-    for rows in kernels.window_diff_counts(n_max, t):
+    for rows in kernels.window_diff_counts(n_max, min(t, n_max)):
         exact, half = [0] * width, [0] * width
         for d in range(1, len(rows)):
             exact[:] = map(add, exact, rows[d])
@@ -93,11 +95,9 @@ def _spread_statistics(n_max: int, t: int) -> dict[str, list[list[int]]]:
 
 def _spread_counts(kind: str, t: int, lo: int, hi: int) -> list[int]:
     """Entries n = lo..hi of the spread statistic kind (see
-    _spread_statistics) at bound t.  Every partition of hi or less has
-    spread below hi, so a bound past hi gives the same counts as hi."""
-    t = min(t, hi)
-    stats = kernels.shared("spread walk", _spread_statistics, hi, t)
-    return stats[kind][t][lo : hi + 1]
+    _spread_statistics) at bound t, from a walk to hi."""
+    rows = kernels.shared("spread walk", _spread_statistics, hi, kernels.bound(t))[kind]
+    return rows[min(t, len(rows) - 1)][lo : hi + 1]
 
 
 def count_p_bounded_diff(n: int, t: int) -> int:

@@ -37,8 +37,9 @@ series, and halve only a reported mismatch (``_halves_report``).
 
 The passes and the ``gf_pbar`` and ``gf_G`` series of the checks are read
 through ``kernels.shared``, which names each builder as this module names it
-at the call, so a replacement (a test's, or a tracer's wrapper) runs; see the
-kernels docstring for when each is made and how long it is held.
+at the call, so a replacement (a test's, or a tracer's wrapper) runs.  A
+pass is made at ``kernels.bound(t)``, clamped by its builder, and read at
+row min(t, last); the kernels docstring says how long each table is held.
 """
 
 from __future__ import annotations
@@ -173,8 +174,10 @@ def _smallest_part_sums(t_max: int, prec: int) -> tuple[list, list, list]:
     P_m(t) = G_m(t)(1+q^{m+t}), each one ``kernels.one_minus_chain`` call on
     a list on [m, prec); a factor with m + t at or past the list's width is
     1 there.  Every summand has valuation exactly m (checked; a
-    RuntimeError names m if not).
+    RuntimeError names m if not).  Past t = prec - 2 every summand's factors
+    are 1 on its list and case (2) is empty, so t_max is clamped there.
     """
+    t_max = min(t_max, max(prec - 2, 1))
     width = max(prec, 0)
     pbar = [[0] * width for _ in range(t_max + 1)]
     g = [None, *([0] * width for _ in range(t_max))]
@@ -221,14 +224,11 @@ def _smallest_part_sums(t_max: int, prec: int) -> tuple[list, list, list]:
 
 def _smallest_part_sum(which: int, t: int, prec: int) -> QSeries:
     """Row t of the _smallest_part_sums list which (0: pbar, 1: g,
-    2: case_two) at prec, as a series.
-
-    Past t = prec - 2 every summand's factors are 1 on its list and case
-    (2) is empty, so a larger t reads that row and a huge t costs no more.
-    """
-    t = min(t, max(prec - 2, 1))
-    rows = kernels.shared("smallest-part pass", _smallest_part_sums, t, prec)
-    return _window_series(rows[which][t], prec)
+    2: case_two) at prec, as a series; a t past the pass's last row reads
+    that row."""
+    rows = kernels.shared("smallest-part pass", _smallest_part_sums,
+                          kernels.bound(t), prec)[which]
+    return _window_series(rows[min(t, len(rows) - 1)], prec)
 
 
 def gf_pbar_direct(t: int, prec: int) -> QSeries:
@@ -439,7 +439,8 @@ def check_oqbinom_pbar(t: int, order: int) -> VerificationReport:
     if t < 0:
         raise ValueError(f"oqbinom check needs t >= 0, got {t}")
     prec = order + 1
-    rows = kernels.shared("largest-part sums", _largest_part_sums, t, prec, 1)
+    rows = kernels.shared("largest-part sums", _largest_part_sums,
+                          kernels.bound(t), prec, 1)
     lhs = _window_series(rows[min(t, len(rows) - 1)], prec)
     return comparison_report(
         IdentityCheck("oqbinom", {"t": t}, order),
@@ -485,7 +486,8 @@ def _case_sides(t: int, prec: int) -> tuple[QSeries, QSeries, QSeries, QSeries]:
     full = kernels.shared("gf_pbar", gf_pbar, t, prec)
     case1 = _ratio_minus_one(t, prec)
     twice_case2 = add(full, kernels.shared("gf_pbar", gf_pbar, t - 1, prec).scale(-1))
-    rows = kernels.shared("largest-part sums", _largest_part_sums, t, prec, 0)
+    rows = kernels.shared("largest-part sums", _largest_part_sums,
+                          kernels.bound(t), prec, 0)
     last = len(rows) - 1
     case3 = _window_series(
         list(map(operator.sub, rows[min(t, last)], rows[min(t - 1, last)])), prec)
@@ -681,10 +683,10 @@ def run_checks(
 
     inject_mismatch corrupts the th1 closed form (test hook).
 
-    The call is one request scope with bound (t_max, order): its checks
+    The call is one request scope with spread bound t_max: its checks
     share one spread walk, one smallest-part pass, one largest-part sweep
-    per lag and each gf_pbar and gf_G series, made once at the size the
-    bound gives and dropped when the call returns (see the kernels
+    per lag and each gf_pbar and gf_G series, each made once, for every
+    t <= t_max, and dropped when the call returns (see the kernels
     docstring).
     """
     _require_order(order)
@@ -692,7 +694,7 @@ def run_checks(
         raise ValueError(f"unknown check {selector!r}")
     names = ALL_CHECKS if selector == "all" else (selector,)
     reports: list[VerificationReport] = []
-    with kernels.RequestScope(t_max, order):
+    with kernels.RequestScope(t_max):
         for name in names:
             lo, runner = CHECKS[name]
             if t_max < lo:

@@ -16,7 +16,7 @@ a float or a bool): multiply-add keeps ints as ints, and only
 ``divide_unit`` divides, through Fraction, when the unit's constant term
 is not +-1.
 
-The enumeration kernel, the spread walk ``window_diff_counts``, walks
+The enumeration kernel ``window_diff_counts``, a walk by spread, walks
 partition trees once per call and accumulates exact integer counts, so
 results are arbitrary precision by construction.  It lists, for each
 largest part L, every multiset of interior values (strictly between the
@@ -28,19 +28,22 @@ the distinct count, so the oracles share no code with the coefficient
 kernels and never become a DP over the product formula they are meant to
 check: no interior factor is applied in bulk.
 ``all_partition_weighted_counts`` sums the table of one such walk, at a
-spread bound that no partition of its sizes exceeds.
+spread bound that no partition of n_max or less exceeds.
 
 A request scope (:class:`RequestScope`), which ``identities.run_checks``
-opens with its bound (t_max, order), owns the tables its checks share: the
-spread walk, the part-sum passes and the ``gf_pbar`` and ``gf_G`` series.
-:func:`shared` makes each once, on its first read, at the size the bound
-gives, so one walk and one pass serve every t in any order; a read past that
-size raises :class:`ScopeError`, and every table goes when the scope closes,
-even on an error.  Outside a scope each call makes its table at its own size.
+opens with its spread bound t_max, holds the tables its checks share: the
+oracles' walk, the part-sum passes and the ``gf_pbar`` and ``gf_G`` series.
+:func:`shared` makes each once per key, on its first read, and every table
+goes when the scope closes, even on an error.  A table with one row per
+spread bound is made at the bound :func:`bound` gives its read: inside a
+scope at least t_max, so one walk and one pass serve every t in any order.
+Its builder clamps that bound to the last row that differs, and the reader
+takes row min(t, last).  Outside a scope each call makes its table at its
+own size.
 """
 
 from itertools import accumulate, repeat
-from operator import add, gt, mul, sub
+from operator import add, mul, sub
 
 # The one kernel backend; reported by tools that record where time goes.
 BACKEND = "pure"
@@ -321,27 +324,16 @@ def all_partition_weighted_counts(n_max):
 # -- the request scope -------------------------------------------------------------
 
 
-class ScopeError(LookupError):
-    """A read of a shared table past the size the request scope made it at."""
-
-
 _scope = None  # the open RequestScope, or None
 
 
 class RequestScope:
-    """The shared tables of one request with bound (t_max, order), open for
-    the block of a ``with`` statement.  ``sizes`` maps a read's arguments to
-    those its bound-sized table is made with: the walk to order, each pass at
-    the read's prec (and lag) for every t up to t_max that changes its rows;
-    a series is made at its read."""
+    """The shared tables of one request with spread bound t_max, open for the
+    block of a ``with`` statement: each is made once per key and held until
+    the block ends."""
 
-    def __init__(self, t_max, order):
-        self.sizes = {
-            "spread walk": lambda n, t: (order, min(t_max, order)),
-            "smallest-part pass": lambda t, prec: (
-                min(t_max, max(prec - 2, 1)), prec),
-            "largest-part sums": lambda t, prec, lag: (t_max, prec, lag),
-        }
+    def __init__(self, t_max):
+        self.t_max = t_max
         self.tables = {}
 
     def __enter__(self):
@@ -356,20 +348,21 @@ class RequestScope:
         _scope = None
 
 
-def shared(name, build, *need):
-    """build(*need) outside a request scope.  Inside one, the table for name
-    at the size its rule gives (need, without a rule), made on the first read
-    of that size and held until the scope closes; the reader takes the rows
-    it needs, and a read needing more than that size raises ScopeError."""
+def bound(t):
+    """The spread bound to make a table read at t with: t outside a request
+    scope, and at least the scope's t_max inside one, so that one table
+    serves every t of the request."""
+    return t if _scope is None else max(t, _scope.t_max)
+
+
+def shared(name, build, *args):
+    """build(*args), made once per (name, *args) inside a request scope and
+    held until it closes; outside one, a plain call."""
     scope = _scope
     if scope is None:
-        return build(*need)
-    rule = scope.sizes.get(name)
-    size = need if rule is None else rule(*need)
-    if any(map(gt, need, size)):
-        raise ScopeError(f"{name} read at {need} is past its request's {size}")
-    key = (name, *size)
+        return build(*args)
+    key = (name, *args)
     table = scope.tables.get(key)
     if table is None:
-        table = scope.tables[key] = build(*size)
+        table = scope.tables[key] = build(*args)
     return table

@@ -13,7 +13,7 @@ from math import isqrt
 
 import pytest
 
-from overq import identities, kernels, qfunctions
+from overq import enumeration, identities, kernels, qfunctions
 from overq.enumeration import (
     count_g,
     divisor_count,
@@ -343,22 +343,37 @@ def test_smallest_part_sums_equal_the_rebuild_per_m_sums(build, reference, t_min
         _assert_same_int_series(build(10**4, prec), reference(prec + 2, prec), prec)
 
 
-def test_a_pass_made_for_a_larger_bound_gives_every_smaller_bound_its_sums():
-    # A request scope holds one pass, made for its largest t, and reads
-    # every smaller t from it; a builder called alone makes a pass for its
-    # own t.
-    for prec in [*range(-1, 14), *range(17, 62, 4)]:
-        pbar, g, case_two = identities._smallest_part_sums(8, prec)
-        assert g[0] is None and case_two[0] is None
-        for t in range(9):
-            _assert_same_int_series(identities._window_series(pbar[t], prec),
-                                    gf_pbar_direct(t, prec), (t, prec))
-            if t:
-                _assert_same_int_series(identities._window_series(g[t], prec),
-                                        gf_g_direct(t, prec), (t, prec))
-                _assert_same_int_series(
-                    identities._window_series(case_two[t], prec),
-                    _case_two_direct(t, prec), (t, prec))
+# Each table with one row per spread bound, as (build(t, size), the last
+# row its builder makes at that bound, which no larger bound changes).
+_BOUND_TABLES = {
+    "spread-walk": (
+        lambda t, n: list(zip(*enumeration._spread_statistics(n, t).values())),
+        lambda t, n: min(t, n)),
+    "smallest-part": (
+        lambda t, prec: list(zip(*identities._smallest_part_sums(t, prec))),
+        lambda t, prec: min(t, max(prec - 2, 1))),
+    "largest-part-lag-0": (
+        lambda t, prec: _largest_part_sums(t, prec, 0),
+        lambda t, prec: min(t, max(prec - 1, 0))),
+    "largest-part-lag-1": (
+        lambda t, prec: _largest_part_sums(t, prec, 1),
+        lambda t, prec: min(t, max(prec - 2, 0))),
+}
+
+
+@pytest.mark.parametrize("build, last", _BOUND_TABLES.values(), ids=_BOUND_TABLES)
+def test_a_table_made_at_a_larger_bound_holds_every_smaller_bounds_rows(build, last):
+    # A request scope makes each table at its t_max and reads row
+    # min(t, last) for every t: that row equals the last row of the table
+    # made at t.  Sizes from 0 reach past each builder's clamp at t = 15,
+    # and the builder makes no row past it.
+    for size in [*range(14), 20, 33]:
+        big = build(15, size)
+        assert len(big) == last(15, size) + 1, size
+        for t in range(16):
+            small = build(t, size)
+            assert len(small) == last(t, size) + 1, (t, size)
+            assert big[min(t, len(big) - 1)] == small[-1], (t, size)
 
 
 # The reference for _largest_part_sums: the whole over-q-binomial ladder and
@@ -415,52 +430,64 @@ def test_largest_part_sums_equal_the_ladder_read_sums(lag):
 def test_a_request_scope_makes_each_table_once_and_keeps_nothing(monkeypatch):
     made = []
 
-    def build(*size):
-        made.append(size)
-        return size
+    def build(*args):
+        made.append(args)
+        return args
 
-    # Outside a scope nothing is kept: each read makes a table at its size.
+    # Outside a scope nothing is kept, and a table is made at its read's t.
+    assert kernels.bound(3) == 3
     assert kernels.shared("largest-part sums", build, 3, 10, 1) == (3, 10, 1)
     assert kernels.shared("largest-part sums", build, 3, 10, 1) == (3, 10, 1)
     assert made == [(3, 10, 1), (3, 10, 1)]
     made.clear()
-    with kernels.RequestScope(5, 9):
-        # Inside one each table is made once per key, at the bound's size,
-        # whatever order its reads come in.
-        for name, need, size in [
-                ("largest-part sums", (3, 10, 1), (5, 10, 1)),
-                ("largest-part sums", (5, 10, 1), (5, 10, 1)),
-                ("largest-part sums", (2, 10, 0), (5, 10, 0)),
-                ("smallest-part pass", (1, 10), (5, 10)),
-                ("smallest-part pass", (5, 10), (5, 10)),
-                ("smallest-part pass", (3, 5), (3, 5)),
-                ("spread walk", (4, 1), (9, 5)),
-                ("spread walk", (9, 5), (9, 5)),
-                ("gf_pbar", (3, 10), (3, 10)),
-                ("gf_pbar", (3, 10), (3, 10)),
-                ("gf_pbar", (3, 11), (3, 11))]:
-            assert kernels.shared(name, build, *need) == size, (name, need)
-        assert made == [(5, 10, 1), (5, 10, 0), (5, 10), (3, 5), (9, 5), (3, 10),
-                        (3, 11)]
-        # A read past the bound raises instead of reading a short table.
-        for name, need in [("largest-part sums", (6, 10, 1)),
-                           ("smallest-part pass", (6, 10)),
-                           ("spread walk", (10, 5)), ("spread walk", (9, 6))]:
-            with pytest.raises(kernels.ScopeError):
-                kernels.shared(name, build, *need)
+    with kernels.RequestScope(5):
+        # Inside one the bound is at least t_max, and each key (name and
+        # arguments) is made once.
+        assert [kernels.bound(t) for t in (0, 5, 7)] == [5, 5, 7]
+        for name, args in [("largest-part sums", (5, 10, 1)),
+                           ("largest-part sums", (5, 10, 1)),
+                           ("largest-part sums", (5, 10, 0)),
+                           ("smallest-part pass", (5, 10)),
+                           ("gf_pbar", (5, 10)),
+                           ("gf_pbar", (5, 10)),
+                           ("gf_pbar", (7, 10))]:
+            assert kernels.shared(name, build, *args) == args, (name, args)
+        assert made == [(5, 10, 1), (5, 10, 0), (5, 10), (5, 10), (7, 10)]
         with pytest.raises(RuntimeError):
-            with kernels.RequestScope(1, 1):
+            with kernels.RequestScope(1):
                 pass
     assert kernels._scope is None
     made.clear()
-    assert kernels.shared("gf_pbar", build, 3, 10) == (3, 10)
-    assert made == [(3, 10)]
+    assert kernels.shared("gf_pbar", build, 5, 10) == (5, 10)
+    assert made == [(5, 10)]
     # The scope closes when a check raises, and the next request opens one.
     monkeypatch.setattr(identities, "check_bk", lambda t, order: 1 / 0)
     with pytest.raises(ZeroDivisionError):
         run_checks("bk", 3, 12)
     assert kernels._scope is None
     assert all(r.passed for r in run_checks("th2", 2, 12))
+
+
+def test_a_read_past_the_scopes_bound_equals_the_read_alone():
+    # A read at t > t_max inside a scope makes its own table at t, after the
+    # request's tables were made at t_max: every table reader gives what it
+    # gives outside any scope.
+    def reads(t, prec):
+        sides = identities._case_sides(t, prec)
+        report = check_oqbinom_pbar(t, prec - 1)
+        return [
+            *[(s.lo, s.prec, s.coeffs) for s in sides],
+            (report.status, report.message, report.first_mismatch),
+            *[(s.lo, s.prec, s.coeffs) for s in (
+                gf_pbar_direct(t, prec), gf_g_direct(t, prec),
+                _case_two_direct(t, prec), oracle_series("g_t", t, prec - 1))],
+        ]
+
+    for prec in (4, 21):
+        with kernels.RequestScope(3):
+            reads(2, prec)
+            scoped = reads(7, prec)
+        assert scoped == reads(7, prec), prec
 
 
 @pytest.mark.parametrize("inject_mismatch", [False, True])
@@ -480,7 +507,7 @@ def test_scoped_reports_equal_each_check_alone(inject_mismatch):
     reports = run_checks("all", 6, 30, inject_mismatch=inject_mismatch)
     assert kernels._scope is None
     assert seen(reports) == seen(alone(30))
-    with kernels.RequestScope(6, 30):
+    with kernels.RequestScope(6):
         below = alone(19)
     assert seen(below) == seen(alone(19))
     assert any(r.first_mismatch for r in reports) == inject_mismatch

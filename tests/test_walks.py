@@ -261,17 +261,24 @@ def test_overline_total_table_walks_to_n_max(walks, capsys):
 
 
 def test_reads_share_a_walk_only_inside_a_request_scope(walks):
+    # Outside a scope each read walks at its own size.  Inside one, the
+    # reads of one n share a walk at the scope's t_max, whatever their t; a
+    # read past t_max walks at its own t, and no walk goes past spread n.
     for _ in range(2):
         oracle_series("p_t", 6, 65)
-        oracle_series("g_t", 3, 40)
-        oracle_series("p_t", 6, 66)
-    assert spread_walks(walks) == [(65, 6), (40, 3), (66, 6)] * 2
+        oracle_series("g_t", 3, 65)
+        oracle_series("p_t", 6, 40)
+    assert spread_walks(walks) == [(65, 6), (65, 3), (40, 6)] * 2
     walks.clear()
-    with kernels.RequestScope(6, 66):
+    with kernels.RequestScope(6):
         oracle_series("p_t", 6, 65)
+        oracle_series("g_t", 3, 65)
+        oracle_series("p_exact_t", 0, 65)
+        oracle_series("p_t", 6, 40)
         oracle_series("g_t", 3, 40)
-        oracle_series("p_t", 6, 66)
-    assert spread_walks(walks) == [(66, 6)]
+        oracle_series("pbar_t", 9, 40)
+        oracle_series("pbar_t", 2, 5)
+    assert spread_walks(walks) == [(65, 6), (40, 6), (40, 9), (5, 5)]
 
 
 def test_ascending_scan(walks):

@@ -32,7 +32,8 @@ the ids whose seeded hash falls below ``SHARE``: 195 of the package's
 Each mutant runs in its own temporary copy of ``src/``, ``tests/`` and
 ``pyproject.toml``; the working tree is only read.  In the copy it runs
 ``pytest -x -p no:cacheprovider --hypothesis-seed=0`` over the test files
-that import the module, then ``tests/test_acceptance.py`` and
+that import the module or a package module that reaches it through the
+package's imports (:func:`tests_for`), then ``tests/test_acceptance.py`` and
 ``tests/test_cli_golden.py``.  A failing run kills the mutant, a passing one
 lets it survive, and a run past ``TIME_CAP`` is timed out.  Before any
 mutant, the unmutated modules, written back the same way, must pass all of
@@ -40,8 +41,10 @@ those tests, or the survey stops.
 
 Standard output lists every mutant with its outcome (and the first test that
 failed), then killed, survived and timed-out counts per module, then the
-survivors.  Progress and the elapsed time go to standard error.  A full
-survey takes 12 to 16 minutes on two cores.
+survivors: the known ones, which ``EQUIVALENT`` names with the reason no
+test can kill them, and the new ones.  Progress and the elapsed time go to
+standard error.  The exit status is 1 when a new survivor exists, and 0
+otherwise.  A full survey takes 12 to 16 minutes on two cores.
 """
 
 import ast
@@ -68,6 +71,36 @@ TIME_CAP = 120           # seconds per mutant, for its whole pytest run
 MEMORY_CAP = 1536 << 20  # bytes of address space for each child process
 WORKERS = 2
 
+# Survivors that no test can kill, each with why the mutant behaves as the
+# code does.  A survivor not named here is new, and fails the survey.
+EQUIVALENT = {
+    "kernels.window_diff_counts:sub-add:52b744:0":
+        "d_hi entries past L - lo are made but never read",
+    "kernels.window_diff_counts:const:430a53:0":
+        "a slice one longer into map(add, st, ...), which stops at st's length",
+    "kernels.window_diff_counts:const:a48319:1":
+        "a local row one entry longer, whose extra entry no loop writes "
+        "and every read cuts off",
+    "series.one_minus_chain:gt-ge:1a9218:0":
+        "a factor's exponent is +1 or -1, and only its sign is read",
+    "identities.gf_pbar:const:0122e0:1":
+        "a factor's exponent is +1 or -1, and only its sign is read",
+    "identities.gf_bk:const:81f3f3:1":
+        "a factor's exponent is +1 or -1, and only its sign is read",
+    "identities._smallest_part_sums:sub-add:68f415:1":
+        "a summand list longer than the window: the one-minus factors are "
+        "causal and every add into the sums stops at the window",
+    "qfunctions.over_qbinom_ladder:const:295230:0":
+        "for prec < 1 _wrap_poly cuts the window to prec, so the width "
+        "before the cut does not matter",
+    "qfunctions.phi:lt-le:b5e859:0":
+        "at equal starts the sum gains an empty prefix",
+    "qfunctions.verify_chu:add-sub:db5103:0":
+        "the precision boost can only grow, and the comparison reads prec - 1",
+    "enumeration.over_qbinom_box_oracle.rec:gt-ge:8d2f96:0":
+        "a call with largest value 0 lists nothing",
+}
+
 SWAPS = {ast.Add: (ast.Sub, "add-sub"), ast.Sub: (ast.Add, "sub-add"),
          ast.Lt: (ast.LtE, "lt-le"), ast.LtE: (ast.Lt, "le-lt"),
          ast.Gt: (ast.GtE, "gt-ge"), ast.GtE: (ast.Gt, "ge-gt")}
@@ -83,13 +116,20 @@ def _is_docstring(body, i):
             and isinstance(stmt.value.value, str))
 
 
+# An edit: apply() makes it in place and returns a function that undoes it.
 def _set(obj, field, value):
-    return lambda: setattr(obj, field, value)
+    def apply():
+        old = getattr(obj, field)
+        setattr(obj, field, value)
+        return lambda: setattr(obj, field, old)
+    return apply
 
 
 def _put(seq, i, value):
     def apply():
+        old = seq[i:i + 1]
         seq[i:i + 1] = value
+        return lambda: seq.__setitem__(slice(i, i + len(value)), old)
     return apply
 
 
@@ -101,7 +141,7 @@ def _header(stmt):
 
 def sites(tree):
     """Yield (id, line, apply) for each mutation site of tree, in source
-    order; apply() makes that one edit on tree in place.
+    order; apply() makes that one edit on tree in place and returns its undo.
 
     The id is qualname:kind:h:i, with h a short hash of the first line of
     the statement that holds the site and i the site's index among those
@@ -174,38 +214,70 @@ def chosen(mid):
     return int.from_bytes(digest[:8], "big") < SHARE * 2**64
 
 
-def mutants(module):
-    """The kept mutants of one module: (id, line, source of the mutated module)."""
+def sample(module):
+    """The kept mutation sites of one module, in source order: (id, line)."""
     source = (ROOT / "src" / "overq" / f"{module}.py").read_text()
     for mid, line, _ in sites(ast.parse(source)):
         mid = f"{module}.{mid}"
-        if not chosen(mid):
-            continue
-        tree = ast.parse(source)
-        for other, _, apply in sites(tree):
-            if f"{module}.{other}" == mid:
-                apply()
-                break
-        yield mid, line, ast.unparse(ast.fix_missing_locations(tree)) + "\n"
+        if chosen(mid):
+            yield mid, line
+
+
+def mutants(module):
+    """The kept mutants of one module: (id, line, source of the mutated module)."""
+    tree = ast.parse((ROOT / "src" / "overq" / f"{module}.py").read_text())
+    for mid, line, apply in sites(tree):
+        mid = f"{module}.{mid}"
+        if chosen(mid):
+            undo = apply()
+            source = ast.unparse(ast.fix_missing_locations(tree)) + "\n"
+            undo()
+            yield mid, line, source
 
 
 # -- running the tests -------------------------------------------------------------
 
 
+# An import line of a test: ``import overq[.M]`` or ``from overq[.M] import
+# NAMES``; NAMES is read only after ``from overq``.
+TEST_IMPORT = re.compile(r"^[ \t]*(?:import|from)[ \t]+overq(?:\.(\w+))?"
+                         r"(?:[ \t]+import[ \t]+([\w ,]+))?", re.M)
+
+
+def package_imports():
+    """{module: the package modules it imports}, read from the ASTs of
+    src/overq; the package itself is "__init__"."""
+    graph = {}
+    for path in (ROOT / "src" / "overq").glob("*.py"):
+        graph[path.stem] = {
+            name for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for name in ([node.module] if node.module
+                         else [a.name for a in node.names])}
+    return graph
+
+
 def tests_for(module):
-    """The test files that import overq.<module>, then the ALWAYS files."""
-    found = []
+    """The test files that import overq.<module>, or a package module that
+    imports it directly or through others, then the ALWAYS files.  A test's
+    imports are read from its import lines, those of a program it runs from
+    a string included.  The files that import the module itself come first,
+    so a mutant fails soonest where it is tested most directly."""
+    graph = package_imports()
+    reach, more = set(), {module}
+    while more:
+        reach |= more
+        more = {m for m, deps in graph.items() if deps & reach} - reach
+    direct, further = [], []
     for path in sorted((ROOT / "tests").glob("test_*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            names = []
-            if isinstance(node, ast.Import):
-                names = [a.name for a in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
-            if f"overq.{module}" in names:
-                found.append(f"tests/{path.name}")
-                break
-    return [f for f in found if f not in ALWAYS] + list(ALWAYS)
+        found = set()
+        for m in TEST_IMPORT.finditer(path.read_text()):
+            names = [m[1]] if m[1] else (m[2] or "").replace(",", " ").split()
+            found |= {n if n in graph else "__init__" for n in names or [None]}
+        name = f"tests/{path.name}"
+        if name not in ALWAYS and found & reach:
+            (direct if module in found else further).append(name)
+    return direct + further + list(ALWAYS)
 
 
 def _limit_memory():
@@ -320,14 +392,20 @@ def main(argv):
         totals = [a + b for a, b in zip(totals, counts)]
         print(f"{m:12} {counts[0]:6} {counts[1]:8} {counts[2]:7}")
     print(f"{'total':12} {totals[0]:6} {totals[1]:8} {totals[2]:7}")
+    survivors = [mid for mid, _, _ in jobs if results[mid][0] == "survived"]
+    new = [mid for mid in survivors if mid not in EQUIVALENT]
     print()
-    print("survivors:")
-    for mid, _, _ in jobs:
-        if results[mid][0] == "survived":
-            print(f"  {mid} (line {lines[mid]})")
+    print("known survivors (equivalent):")
+    for mid in survivors:
+        if mid in EQUIVALENT:
+            print(f"  {mid} (line {lines[mid]}): {EQUIVALENT[mid]}")
+    print("new survivors:")
+    for mid in new:
+        print(f"  {mid} (line {lines[mid]})")
     print(f"{len(jobs)} mutants in {time.monotonic() - began:.0f} s",
           file=sys.stderr)
+    return 1 if new else 0
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    sys.exit(main(sys.argv[1:]))
