@@ -16,49 +16,4 @@ The package has seven modules:
 * :mod:`overq.cli` -- the ``overq`` command (table / verify / coeff).
 """
 
-from .series import (
-    EmptyWindowError,
-    MismatchInfo,
-    NotInvertibleError,
-    PrecisionExceededError,
-    QMonomial,
-    QSeries,
-    QSeriesError,
-    WindowViolationError,
-    add,
-    coeff,
-    div,
-    equal_to_order,
-    from_terms,
-    geometric,
-    invert,
-    monomial,
-    mul,
-    one,
-    zero,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "EmptyWindowError",
-    "MismatchInfo",
-    "NotInvertibleError",
-    "PrecisionExceededError",
-    "QMonomial",
-    "QSeries",
-    "QSeriesError",
-    "WindowViolationError",
-    "add",
-    "coeff",
-    "div",
-    "equal_to_order",
-    "from_terms",
-    "geometric",
-    "invert",
-    "monomial",
-    "mul",
-    "one",
-    "zero",
-    "__version__",
-]

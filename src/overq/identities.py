@@ -573,15 +573,14 @@ def _chain_steps(t: int, order: int) -> list[QSeries]:
         QMonomial(1, t + 1),
         prec,
     )
-    four = one_minus_product(one(prec) - phi4, [*_ratio_factors(1, t), (1, t, -1)])
+    four = one_minus_product(
+        add(one(prec), phi4.scale(-1)), [*_ratio_factors(1, t), (1, t, -1)])
 
     five = kernels.shared("gf_G", gf_G, t, prec)
     return [gf_g_direct(t, prec), two, three, four, five]
 
 
-def proof_chain_theorem1(
-    t: int, order: int, perturb_step: int | None = None
-) -> VerificationReport:
+def proof_chain_theorem1(t: int, order: int) -> VerificationReport:
     """Five expressions that should all equal gf_G(t)/2, compared pairwise:
 
     (i)   sum_{m>=1} q^m (q;q)_{m-1} (-q;q)_{m+t-1} / ((q;q)_{m+t} (-q;q)_m)
@@ -593,18 +592,11 @@ def proof_chain_theorem1(
 
     The steps are compared doubled, on int series (see _chain_steps and
     _halves_report).
-
-    perturb_step (1-5) is a test hook multiplying that step by (1 + q) to
-    force a mismatch.
     """
     _require_order(order)
     if t < 1:
         raise ValueError(f"proof chain needs t >= 1, got {t}")
-    if perturb_step is not None and not 1 <= perturb_step <= 5:
-        raise ValueError("perturb_step must be in 1..5")
     steps = _chain_steps(t, order)
-    if perturb_step is not None:
-        steps[perturb_step - 1] = mul_one_minus(steps[perturb_step - 1], -1, 1)
     return _halves_report(
         IdentityCheck("proofchain", {"t": t}, order),
         f"all five expressions agree pairwise to order {order}",

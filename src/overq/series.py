@@ -127,17 +127,6 @@ class QMonomial:
     def __setattr__(self, name, value):
         raise AttributeError("QMonomial is immutable")
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coeff == other.coeff and self.exp == other.exp
-
-    def __hash__(self):
-        return hash((self.coeff, self.exp))
-
-    def __repr__(self):
-        return f"QMonomial(coeff={self.coeff!r}, exp={self.exp!r})"
-
     def __mul__(self, other: "QMonomial") -> "QMonomial":
         return QMonomial(self.coeff * other.coeff, self.exp + other.exp)
 
@@ -145,7 +134,7 @@ class QMonomial:
         return QMonomial(_div(self.coeff, other.coeff), self.exp - other.exp)
 
     def __str__(self):
-        return _term_str(self.coeff, self.exp) or "0"
+        return _term_str(self.coeff, self.exp)
 
 
 class QSeries:
@@ -237,32 +226,6 @@ class QSeries:
             self.lo + exp, self.prec + exp, map(_mul, repeat(c), self.coeffs)
         )
 
-    def __add__(self, other):
-        if isinstance(other, QSeries):
-            return add(self, other)
-        return NotImplemented
-
-    def __sub__(self, other):
-        if isinstance(other, QSeries):
-            return add(self, other.scale(-1))
-        return NotImplemented
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __mul__(self, other):
-        if isinstance(other, QSeries):
-            return mul(self, other)
-        if isinstance(other, int):
-            return self.scale(other)
-        from fractions import Fraction
-
-        if isinstance(other, Fraction):
-            return self.scale(other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
     # -- comparison and display ----------------------------------------------
 
     def __eq__(self, other):
@@ -274,10 +237,7 @@ class QSeries:
             and self.coeffs == other.coeffs
         )
 
-    def __hash__(self):
-        return hash((self.lo, self.prec, self.coeffs))
-
-    def __str__(self):
+    def __repr__(self):
         parts = []
         for i, c in enumerate(self.coeffs):
             if not c:
@@ -288,10 +248,7 @@ class QSeries:
             else:
                 parts.append(term)
         body = " ".join(parts) if parts else "0"
-        return f"{body} + O(q^{self.prec})"
-
-    def __repr__(self):
-        return f"QSeries({self})"
+        return f"QSeries({body} + O(q^{self.prec}))"
 
 
 def _term_str(c: Rational, e: int) -> str:
@@ -314,16 +271,9 @@ class MismatchInfo(tuple):
     def __new__(cls, exponent: int, lhs: Rational, rhs: Rational):
         return tuple.__new__(cls, (exponent, lhs, rhs))
 
-    def __getnewargs__(self):
-        return tuple(self)
-
     exponent = property(lambda self: self[0])
     lhs = property(lambda self: self[1])
     rhs = property(lambda self: self[2])
-
-    def __repr__(self):
-        return (f"MismatchInfo(exponent={self[0]!r}, lhs={self[1]!r}, "
-                f"rhs={self[2]!r})")
 
 
 # -- constructors -------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 
 import overq.cli as cli
 from overq.cli import format_coeff, main
-from overq.series import monomial
+from overq.series import add, monomial
 
 # Child processes import overq from this checkout's src/, as the tests do.
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -152,7 +152,7 @@ def test_table_oracle_allows_t_zero_for_g(capsys):
 def test_table_both_exits_one_on_a_mismatch(capsys, monkeypatch):
     real = cli.gf_pbar
     monkeypatch.setattr(cli, "gf_pbar",
-                        lambda t, prec: real(t, prec) + monomial(1, 2, prec))
+                        lambda t, prec: add(real(t, prec), monomial(1, 2, prec)))
     argv = ("table", "--kind", "pbar", "--t", "2", "--n-max", "3", "--source", "both")
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (1, "")
@@ -167,8 +167,8 @@ def test_table_prints_fraction_cells(capsys, monkeypatch):
     # A Fraction cell prints as an integer when it is one, else as p/q; in
     # JSON an integral Fraction is a number and the match cells stay bools.
     real = cli.gf_pbar
-    monkeypatch.setattr(cli, "gf_pbar", lambda t, prec: real(t, prec).scale(
-        Fraction(1)) + monomial(Fraction(1, 2), 2, prec))
+    monkeypatch.setattr(cli, "gf_pbar", lambda t, prec: add(
+        real(t, prec).scale(Fraction(1)), monomial(Fraction(1, 2), 2, prec)))
     argv = ("table", "--kind", "pbar", "--t", "2", "--n-max", "3", "--source", "both")
     code, out, _ = run_cli(capsys, *argv)
     assert code == 1

@@ -189,8 +189,9 @@ def test_over_qbinom_recurrence_relation():
             prec = m * n + 1
             lhs = over_qbinom_sum(m, n, prec=prec)
             rhs = over_qbinom_sum(m, n - 1, prec=prec)
-            rhs += over_qbinom_sum(m - 1, n, prec=prec - n).times_monomial(1, n)
-            rhs += over_qbinom_sum(m - 1, n - 1, prec=prec - n).times_monomial(1, n)
+            rhs = add(rhs, over_qbinom_sum(m - 1, n, prec=prec - n).times_monomial(1, n))
+            rhs = add(
+                rhs, over_qbinom_sum(m - 1, n - 1, prec=prec - n).times_monomial(1, n))
             ok, mismatch = equal_to_order(lhs, rhs, prec - 1)
             assert ok, (m, n, mismatch)
 
@@ -384,7 +385,7 @@ def test_phi_terminating_sum_matches_manual_assembly():
         term = mul(term, invert(pochhammer(Q, n, work)))
         term = mul(term, invert(pochhammer(QMonomial(-1, 2), n, work)))
         term = term.times_monomial(1, -n)  # z^n at z = q^{-1}
-        acc = term if acc is None else acc + term
+        acc = term if acc is None else add(acc, term)
     ok, mismatch = equal_to_order(got, acc.truncate(8), 7)
     assert ok, mismatch
 

@@ -96,14 +96,6 @@ def test_floats_are_rejected_everywhere():
         with pytest.raises(TypeError):
             one(4).scale(bad)
         with pytest.raises(TypeError):
-            one(4) * bad
-        with pytest.raises(TypeError):
-            bad * one(4)
-        with pytest.raises(TypeError):
-            one(4) + bad
-        with pytest.raises(TypeError):
-            one(4) - bad
-        with pytest.raises(TypeError):
             one(4).times_monomial(bad, 1)
         with pytest.raises(TypeError):
             QSeries(0, 2, [1, bad])
@@ -141,8 +133,8 @@ def test_values_are_immutable():
 
 def test_str_rendering():
     s = from_terms([(0, 1), (1, -1), (2, -1), (5, 1)], 8)
-    assert str(s) == "1 - q - q^2 + q^5 + O(q^8)"
-    assert str(zero(3)) == "0 + O(q^3)"
+    assert repr(s) == "QSeries(1 - q - q^2 + q^5 + O(q^8))"
+    assert repr(zero(3)) == "QSeries(0 + O(q^3))"
 
 
 # -- add ---------------------------------------------------------------------------
@@ -202,10 +194,9 @@ def test_mul_window_rule():
 
 
 def test_mul_by_scalar():
-    s = geometric(1, 4) * 3
+    s = geometric(1, 4).scale(3)
     assert [coeff(s, e) for e in range(4)] == [3, 3, 3, 3]
-    half = geometric(1, 4) * F(1, 2)
-    assert half == F(1, 2) * geometric(1, 4) == geometric(1, 4).scale(F(1, 2))
+    half = geometric(1, 4).scale(F(1, 2))
     assert [coeff(half, e) for e in range(4)] == [F(1, 2)] * 4
 
 
@@ -335,7 +326,7 @@ def test_int_series_never_import_fractions():
     code = (
         f"import sys; sys.path.insert(0, {SRC!r})\n"
         "from overq.series import from_terms, mul_one_minus, one_minus_product\n"
-        "s = mul_one_minus(from_terms([(0, 1), (2, -3)], 6), 2, 1) * 3\n"
+        "s = mul_one_minus(from_terms([(0, 1), (2, -3)], 6), 2, 1).scale(3)\n"
         "s = one_minus_product(s, [(1, 2, -1), (-1, 1, 1)])\n"
         "print(s.coeffs, sorted(m for m in ('fractions', 'decimal') if m in sys.modules))\n"
     )
@@ -449,7 +440,7 @@ def assert_no_float(s, name):
 def ring_ops(a, b, u, r, m, e, g, k):
     return {
         "add": add(a, b),
-        "sub": a - b,
+        "sub": add(a, b.scale(-1)),
         "mul": mul(a, b),
         "invert": invert(u),
         "div": div(a, u),

@@ -1,11 +1,10 @@
 """The three immutable value types, QMonomial, IdentityCheck and
 VerificationReport: constructor arguments and defaults, every validation
-error, refusal of attribute assignment, QMonomial's ==, hash and repr, and
-a report's dict form and sort key; MismatchInfo's fields, tuple behaviour
-and repr, and the Rational alias."""
+error, refusal of attribute assignment, QMonomial's string form, and a
+report's dict form and sort key; MismatchInfo's fields and tuple behaviour,
+and the Rational alias.  QMonomial and MismatchInfo define no equality,
+hash, pickling or repr of their own, since the CLI uses none."""
 
-import copy
-import pickle
 from fractions import Fraction
 
 import pytest
@@ -47,20 +46,12 @@ def test_qmonomial_validation():
         QMonomial(0, 1.5)
 
 
-def test_qmonomial_equality_hash_and_repr():
-    a, b = QMonomial(2, 3), QMonomial(2, 3)
-    assert a == b and not a != b
-    assert hash(a) == hash(b)
-    assert len({a, b}) == 1
-    assert a != QMonomial(2, 4)
-    assert a != QMonomial(-2, 3)
-    assert QMonomial(1, 1) == QMonomial(Fraction(1), 1)
-    assert hash(QMonomial(1, 1)) == hash(QMonomial(Fraction(1), 1))
-    assert a.__eq__((2, 3)) is NotImplemented
-    assert a != (2, 3)
-    assert repr(a) == "QMonomial(coeff=2, exp=3)"
-    assert repr(QMonomial(Fraction(-1, 2), 0)) == "QMonomial(coeff=Fraction(-1, 2), exp=0)"
+def test_qmonomial_str():
     assert str(QMonomial(-1, 2)) == "-q^2"
+    assert str(QMonomial(1, 1)) == "q"
+    assert str(QMonomial(2, 3)) == "2*q^3"
+    assert str(QMonomial(Fraction(-1, 2), 0)) == "-1/2"
+    assert str(QMonomial(1, -1)) == "q^-1"
 
 
 # -- reports --------------------------------------------------------------------------
@@ -90,10 +81,6 @@ def test_mismatch_info_is_a_named_triple():
     exponent, lhs, rhs = mm
     assert (exponent, lhs, rhs) == (4, Fraction(1, 2), 3)
     assert len(mm) == 3 and mm[0] == 4 and mm[-1] == 3
-    assert repr(mm) == "MismatchInfo(exponent=4, lhs=Fraction(1, 2), rhs=3)"
-    assert repr(MismatchInfo(-1, 0, -2)) == "MismatchInfo(exponent=-1, lhs=0, rhs=-2)"
-    for clone in (copy.copy(mm), copy.deepcopy(mm), pickle.loads(pickle.dumps(mm))):
-        assert type(clone) is MismatchInfo and clone == mm
     for name in ("exponent", "lhs", "rhs", "extra"):
         with pytest.raises(AttributeError):
             setattr(mm, name, 0)

@@ -87,6 +87,8 @@ EQUIVALENT = {
         "a factor's exponent is +1 or -1, and only its sign is read",
     "identities.gf_bk:const:81f3f3:1":
         "a factor's exponent is +1 or -1, and only its sign is read",
+    "identities._chain_steps:const:c37ff3:3":
+        "a factor's exponent is +1 or -1, and only its sign is read",
     "identities._smallest_part_sums:sub-add:68f415:1":
         "a summand list longer than the window: the one-minus factors are "
         "causal and every add into the sums stops at the window",
