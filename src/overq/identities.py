@@ -116,8 +116,6 @@ def gf_G(t: int, prec: int) -> QSeries:
     spread-bounded overpartition counts (see module docstring)."""
     if t < 1:
         raise ValueError(f"gf_G needs t >= 1, got {t}")
-    if prec < 1:
-        return zero(prec)
     return div_one_minus(_ratio_minus_one(t, prec), 1, t)
 
 
@@ -286,8 +284,6 @@ def gf_bk(t: int, prec: int) -> QSeries:
     at most t."""
     if t < 1:
         raise ValueError(f"gf_bk needs t >= 1, got {t}")
-    if prec < 1:
-        return zero(prec)
     # 1/((q;q)_t (1 - q^t)) - 1/(1 - q^t).  1/(1 - q^k) with k >= prec is
     # 1 on the window [0, prec).
     divisors = [(1, k, -1) for k in range(1, min(t, prec - 1) + 1)]
@@ -339,7 +335,7 @@ def gf_p_exact_low(t: int, prec: int) -> QSeries:
 def gf_overline_total(prec: int) -> QSeries:
     """All overpartitions: (-q;q)_oo / (q;q)_oo."""
     if prec < 1:
-        return zero(prec)
+        return zero(prec)  # div of two empty windows would raise
     num = pochhammer_inf(QMonomial(-1, 1), prec)
     den = pochhammer_inf(QMonomial(1, 1), prec)
     return div(num, den)

@@ -61,15 +61,16 @@ def pochhammer(a: QMonomial, n: int, prec: int) -> QSeries:
     lo = sum(min(0, e + k) for k in range(n))
     # Negative-exponent factors shift the window down by lo in all, so
     # [0, prec - lo) ends up as [lo, prec); a factor past the window's
-    # width is 1 on it.  When prec <= lo the one entry kept is cut below.
-    s = one(max(prec - lo, 1))
+    # width is 1 on it.
+    s = one(prec - lo)
     for k in range(n):
         s = mul_one_minus(s, g, e + k)
     return s.truncate(prec)
 
 
 def pochhammer_inf(a: QMonomial, prec: int) -> QSeries:
-    """(a;q)_oo.  Requires a.exp >= 1; otherwise infinitely many factors
+    """(a;q)_oo to O(q^prec), under the precision contract of
+    :mod:`.series`.  Requires a.exp >= 1; otherwise infinitely many factors
     move the constant term and the product has no formal limit.
 
     Raises:

@@ -29,6 +29,17 @@ when everything is an int (:func:`one_minus_chain` does the same on a
 plain coefficient list), :func:`div` solves for a quotient by a unit
 directly, and the part sums of :mod:`.identities` add their summands into
 one int list that is wrapped once.
+
+Every builder of a series in the package, f(t, prec) with t a spread
+bound, box width or length, keeps one precision contract.  Its window is
+[min(s, prec), prec) for a start s of its own, which is >= 0 except for a
+Pochhammer symbol with a negative exponent; so below prec 1 the window is
+empty, as :func:`one`'s is.  It truncates consistently: f(t, P) cut to
+prec p <= P is f(t, p), window included.  And past a clamp that depends
+on prec, a larger t neither changes the series nor applies more one-minus
+factors, so a huge t costs no more than the clamp.  Each builder's t
+domain, window start and clamp are listed in ``tests/test_contracts.py``,
+and checked there as one property.
 """
 
 from __future__ import annotations
@@ -307,7 +318,8 @@ def zero(prec: int) -> QSeries:
 
 
 def one(prec: int) -> QSeries:
-    return from_terms([(0, 1)], prec)
+    """The series 1 to O(q^prec); the empty window at prec < 1."""
+    return from_terms([(0, 1)] if prec > 0 else [], prec)
 
 
 def monomial(coeff: Rational, exp: int, prec: int) -> QSeries:

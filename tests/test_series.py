@@ -59,9 +59,14 @@ def test_from_terms_constant():
 
 
 def test_from_terms_empty_is_zero_window():
-    s = from_terms([], 5)
-    assert s.lo <= 0 and s.prec == 5
-    assert all(coeff(s, e) == 0 for e in range(s.lo, 5))
+    for prec in (5, 0, -2):
+        s = from_terms([], prec)
+        assert s.lo <= 0 and s.prec == prec
+        assert all(coeff(s, e) == 0 for e in range(s.lo, prec))
+    # Below prec 1 the series 1 is the empty window too.
+    for prec in (0, -2):
+        assert one(prec) == zero(prec) == QSeries(prec, prec, ())
+    assert (one(1).lo, one(1).prec, one(1).coeffs) == (0, 1, (1,))
 
 
 def test_from_terms_laurent():
