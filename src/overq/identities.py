@@ -254,6 +254,8 @@ def gf_g_direct(t: int, prec: int) -> QSeries:
 def _case_two_direct(t: int, prec: int) -> QSeries:
     """Case (2) of the three-case split as a direct sum: q^{m+t} G_m, with
     G_m the gf_g_direct summands, over the m with 2m + t < prec."""
+    if t < 1:
+        raise ValueError(f"_case_two_direct needs t >= 1, got {t}")
     return _smallest_part_sum(2, t, prec)
 
 
@@ -297,6 +299,10 @@ def gf_abr(t: int, prec: int) -> QSeries:
         q^{t-1}(1-q)/((1-q^t)(1-q^{t-1})) * (1 - 1/(q;q)_t)
         + q^t/((1-q^{t-1})(q;q)_t)
 
+    The last two terms share 1/(q;q)_t, so the series is p1 plus
+    (q^t/(1-q^{t-1}) - p1)/(q;q)_t, p1 the first term's prefactor: one
+    ``one_minus_product`` builds p1 and one divides by (q;q)_t.
+
     For t = 0 the exact-spread series is sum d(n) q^n and for t = 1 it is
     sum (n - d(n)) q^n; both lie outside this formula's domain.
 
@@ -310,15 +316,11 @@ def gf_abr(t: int, prec: int) -> QSeries:
         # coefficient below prec is 0, with the window truncate(prec) gives.
         lo = min(t - 1, prec)
         return QSeries._make(lo, prec, [0] * (prec - lo))
-    # The q^t monomial needs a window past t even when prec is smaller.
-    work = max(prec, t + 1)
-    p1 = mul_one_minus(monomial(1, t - 1, work), 1, 1)
-    p1 = div_one_minus(div_one_minus(p1, 1, t), 1, t - 1)
-    # The last two terms share 1/(q;q)_t: p1 + (q^t/(1-q^{t-1}) - p1)/(q;q)_t.
-    rest = add(div_one_minus(monomial(1, t, work), 1, t - 1), p1.scale(-1))
-    for k in range(1, t + 1):
-        rest = div_one_minus(rest, 1, k)
-    return add(p1, rest).truncate(prec)
+    p1 = one_minus_product(monomial(1, t - 1, prec),
+                           [(1, 1, 1), (1, t, -1), (1, t - 1, -1)])
+    rest = add(div_one_minus(monomial(1, t, prec), 1, t - 1), p1.scale(-1))
+    rest = one_minus_product(rest, [(1, k, -1) for k in range(1, t + 1)])
+    return add(p1, rest)
 
 
 def gf_p_exact_low(t: int, prec: int) -> QSeries:

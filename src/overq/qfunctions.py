@@ -1,5 +1,5 @@
-"""q-Pochhammer symbols, the over q-binomials and basic hypergeometric
-series, all as exact windowed series.
+"""The infinite q-Pochhammer symbol, the over q-binomials and basic
+hypergeometric series, all as exact windowed series.
 
 Notation used in the docstrings: (a;q)_n = prod_{k=0}^{n-1} (1 - a*q^k),
 (a;q)_oo is the n -> oo limit, and a phi series with upper parameters
@@ -24,9 +24,6 @@ from .series import (
     QMonomial,
     QSeries,
     QSeriesError,
-    _div,
-    div,
-    mul_one_minus,
     one,
     one_minus_chain,
     one_minus_product,
@@ -45,27 +42,7 @@ class PhiDivisionError(QSeriesError):
     """A lower-parameter Pochhammer factor of a phi series vanishes."""
 
 
-# -- Pochhammer symbols --------------------------------------------------------
-
-
-def pochhammer(a: QMonomial, n: int, prec: int) -> QSeries:
-    """(a;q)_n as an exact Laurent polynomial, embedded at the given prec.
-
-    The window starts at the sum of the negative factor exponents (zero when
-    a.exp >= 0) and every coefficient of the polynomial below prec is exact.
-    """
-    if n < 0:
-        raise ValueError("Pochhammer length must be >= 0")
-    e = a.exp
-    g = a.coeff
-    lo = sum(min(0, e + k) for k in range(n))
-    # Negative-exponent factors shift the window down by lo in all, so
-    # [0, prec - lo) ends up as [lo, prec); a factor past the window's
-    # width is 1 on it.
-    s = one(prec - lo)
-    for k in range(n):
-        s = mul_one_minus(s, g, e + k)
-    return s.truncate(prec)
+# -- the infinite Pochhammer symbol -------------------------------------------
 
 
 def pochhammer_inf(a: QMonomial, prec: int) -> QSeries:
@@ -229,12 +206,12 @@ def phi(upper: Iterable[QMonomial], lower: Iterable[QMonomial],
     after prec + 16 terms is rejected.
 
     The terms and their sum are plain lists, each with a window start.
-    Each term comes from the one before it by one ``one_minus_chain`` over
-    the update's factors, in which a factor and its inverse cancel when
-    everything is an int; a factor with k <= 0 becomes a k >= 1 factor
-    times a scalar and a shift, which are applied once per term, with the
-    argument's.  The term is added into the sum in place.  Every
-    coefficient gets the value and type it gets one factor at a time.
+    Each term comes from the one before it by one
+    :func:`.series.one_minus_chain` call over the update's factors, which
+    rewrites those with k <= 0 and cancels a factor against its inverse
+    when everything is an int, and then the argument's scalar and shift.
+    The term is added into the sum in place.  Every coefficient gets the
+    value and type it gets one factor at a time.
 
     Raises:
         PhiDivisionError: a lower parameter is q^{-k} with k >= 0, so a
@@ -281,37 +258,22 @@ def phi(upper: Iterable[QMonomial], lower: Iterable[QMonomial],
     lo = 0
     acc = list(c)
     acc_lo = 0
-    sign = -1 if s_minus_r % 2 else 1
+    # Term n+1 is term n times z (-1)^{s-r} q^{n(s-r)} and the parameter
+    # factors; an int 1 scales nothing.
+    scale = -z.coeff if s_minus_r % 2 else z.coeff
+    scaled = scale != 1 or type(scale) is not int
     settled = False
     n = 0
     while True:
         if n_stop is not None and n >= n_stop:
             break
-        # Term n+1 is term n times z (-1)^{s-r} q^{n(s-r)} and these
-        # factors (e = +1 on top, -1 below):
+        # The parameter factors, e = +1 on top and -1 below:
         factors = ([(u.coeff, u.exp + n, 1) for u in ups] + [(1, n + 1, -1)]
                    + [(b.coeff, b.exp + n, -1) for b in lows])
-        scalar = z.coeff * sign if s_minus_r else z.coeff
-        shift = z.exp + n * s_minus_r
-        chain = []
-        for g, k, e in factors:
-            if k > 0:
-                chain.append((g, k, e))
-            elif k == 0:
-                # (1 - g) is never 0 here: an upper q^0 ends the sum
-                # first and a lower one was rejected above.
-                scalar *= 1 - g if e > 0 else _div(1, 1 - g)
-            else:
-                # 1 - g q^k = -g q^k (1 - q^{-k}/g)
-                inv = _div(1, g)
-                chain.append((inv, -k, e))
-                scalar *= -g if e > 0 else -inv
-                shift += k * e
-        c = one_minus_chain(c, chain)
-        # An int 1 changes nothing; a Fraction, even 1, makes every entry one.
-        if scalar != 1 or type(scalar) is not int:
-            c = list(map(operator.mul, repeat(scalar), c))
-        lo += shift
+        c, shift = one_minus_chain(c, factors)
+        if scaled:
+            c = list(map(operator.mul, repeat(scale), c))
+        lo += shift + z.exp + n * s_minus_r
         if not falls:
             if lo > prec:
                 lo, c = prec, []
@@ -347,21 +309,19 @@ def verify_chu(a: QMonomial, n: int, c: QMonomial, prec: int):
 
         2phi1(a, q^{-n}; c; q, c q^n / a) = (c/a;q)_n / (c;q)_n
 
-    to order prec - 1, returning a VerificationReport.
+    to order prec - 1, returning a VerificationReport.  The right side is
+    one :func:`.series.one_minus_product` of its n factors on top and n
+    below, applied to 1 on a window that ends at prec once the factors
+    with exponent < 0 have moved it.
     """
     if n < 0:
         raise ValueError("termination index n must be >= 0")
     lhs = phi((a, QMonomial(1, -n)), (c,), (c * QMonomial(1, n)) / a, prec)
-
     ca = c / a
-    boost = -sum(min(0, ca.exp + k) for k in range(n))
-    boost += -2 * sum(min(0, c.exp + k) for k in range(n))
-    num = pochhammer(ca, n, prec + boost)
-    den = pochhammer(c, n, prec + boost)
-    rhs = div(num, den)
-    if rhs.prec < prec:
-        raise QSeriesError("internal: right side lost precision")
-
+    factors = ([(ca.coeff, ca.exp + k, 1) for k in range(n)]
+               + [(c.coeff, c.exp + k, -1) for k in range(n)])
+    moved = sum(e * min(k, 0) for _, k, e in factors)
+    rhs = one_minus_product(one(prec - moved), factors)
     return comparison_report(
         IdentityCheck("chu", {"a": str(a), "c": str(c), "n": n}, prec - 1),
         f"terminating sum equals its product form to order {prec - 1}",

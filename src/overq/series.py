@@ -24,18 +24,21 @@ TypeError and is never rounded.
 
 Builders with many factors or summands do not go through one immutable
 value per step: :func:`one_minus_product` applies a whole product of
-one-minus factors in one kernel call, after cancelling inverse factors
-when everything is an int (:func:`one_minus_chain` does the same on a
-plain coefficient list), :func:`div` solves for a quotient by a unit
-directly, and the part sums of :mod:`.identities` add their summands into
-one int list that is wrapped once.
+one-minus factors (1 - g*q^k)**e, k any integer, in one kernel call, after
+cancelling inverse factors when everything is an int
+(:func:`one_minus_chain` does the same on a plain coefficient list),
+:func:`div` solves for a quotient by a unit directly, and the part sums of
+:mod:`.identities` add their summands into one int list that is wrapped
+once.  A factor with k <= 0 is rewritten as a scalar, a window shift and a
+factor with k >= 1 in one place, :func:`one_minus_chain`, which
+:func:`mul_one_minus`, :func:`div_one_minus` and the terms of
+:func:`.qfunctions.phi` all reach.
 
 Every builder of a series in the package, f(t, prec) with t a spread
-bound, box width or length, keeps one precision contract.  Its window is
-[min(s, prec), prec) for a start s of its own, which is >= 0 except for a
-Pochhammer symbol with a negative exponent; so below prec 1 the window is
-empty, as :func:`one`'s is.  It truncates consistently: f(t, P) cut to
-prec p <= P is f(t, p), window included.  And past a clamp that depends
+bound, box width or exponent, keeps one precision contract.  Its window is
+[min(s, prec), prec) for a start s >= 0 of its own; so below prec 1 the
+window is empty, as :func:`one`'s is.  It truncates consistently: f(t, P)
+cut to prec p <= P is f(t, p), window included.  And past a clamp that depends
 on prec, a larger t neither changes the series nor applies more one-minus
 factors, so a huge t costs no more than the clamp.  Each builder's t
 domain, window start and clamp are listed in ``tests/test_contracts.py``,
@@ -460,19 +463,51 @@ def _coeff_run(a: QSeries, lo: int, stop: int) -> tuple[Rational, ...]:
 
 def one_minus_chain(c, factors):
     """The coefficient list c times prod (1 - g*q^k)**e over the exact
-    (g, k, e) in factors, e = +1 to multiply and -1 to divide, k >= 1;
-    c itself when no factor acts on it.
+    (g, k, e) in factors, e = +1 to multiply and -1 to divide, for any
+    integer k, as (out, shift): the product's window is c's moved by
+    shift.  out is c itself when no factor acts on it.
 
-    Factors with g = 0 or k >= len(c) are 1 on the window and are dropped.
-    When every g and every entry of c is an int, each step is exact in
-    ints and the steps commute, so a factor and its exact inverse,
-    (g, k, +1) and (g, k, -1), cancel before the one
-    ``kernels.one_minus_chain`` call.  Otherwise the factors run as given,
-    in order, so that every coefficient keeps the type it would get one
-    factor at a time.
+    This is the one place a factor with k <= 0 is rewritten: (1 - g) with
+    k = 0 is a scalar, and 1 - g*q^k = -g*q^k * (1 - q^{-k}/g) with k < 0
+    is a scalar, a shift by k and a factor with exponent -k >= 1.  The
+    scalars are applied as one, after the one ``kernels.one_minus_chain``
+    call over the factors with k >= 1.  Factors with g = 0 or k >= len(c)
+    are 1 on the window and are dropped.  When every g and every entry of
+    c is an int, each step is exact in ints and the steps commute, so a
+    factor and its exact inverse, (g, k, +1) and (g, k, -1), cancel before
+    the kernel call.  Otherwise the factors run as given, in order, so
+    that every coefficient keeps the type it would get one factor at a
+    time.
+
+    Raises:
+        NotInvertibleError: for a division by (1 - q^0), which is zero.
     """
     n = len(c)
-    chain = [f for f in factors if f[0] and f[1] < n]
+    chain = []
+    scalar = 1
+    shift = 0
+    for i, (g, k, e) in enumerate(factors):
+        if not g:
+            continue
+        if k < 0:
+            inv = _div(1, g)
+            scalar *= -g if e > 0 else -inv
+            shift += k * e
+            g, k = inv, -k
+        elif k == 0:
+            if g == 1:
+                if e < 0:
+                    raise NotInvertibleError("division by (1 - q^0) which is zero")
+                # The product is 0.  The factors before this one act first,
+                # as they do one factor at a time, so each 0 keeps its type.
+                head, moved = one_minus_chain(c, factors[:i])
+                out, more = one_minus_chain([(1 - g) * x for x in head],
+                                            factors[i + 1:])
+                return out, moved + more
+            scalar *= 1 - g if e > 0 else _div(1, 1 - g)
+            continue
+        if k < n:
+            chain.append((g, k, e))
     net: dict = {}
     for g, k, e in chain:
         net[g, k] = net.get((g, k), 0) + (1 if e > 0 else -1)
@@ -482,51 +517,32 @@ def one_minus_chain(c, factors):
             and {int}.issuperset(map(type, c))):
         chain = [(g, k, 1 if e > 0 else -1)
                  for (g, k), e in net.items() for _ in range(abs(e))]
-    return kernels.one_minus_chain(c, chain) if chain else c
+    out = kernels.one_minus_chain(c, chain) if chain else c
+    # An int 1 changes nothing; a Fraction, even 1, makes every entry one.
+    if scalar != 1 or type(scalar) is not int:
+        out = list(map(_mul, repeat(scalar), out))
+    return out, shift
 
 
 def one_minus_product(
     a: QSeries, factors: Iterable[tuple[Rational, int, int]]
 ) -> QSeries:
     """a * prod (1 - g*q^k)**e over the (g, k, e) in factors, e = +1 to
-    multiply and -1 to divide and every k >= 1, applied by one
-    :func:`one_minus_chain` call, which copies the coefficients once."""
-    chain = []
-    for g, k, e in factors:
-        if k < 1:
-            raise ValueError(f"one_minus_product needs k >= 1, got {k}")
-        chain.append((_coerce(g), k, e))
-    out = one_minus_chain(a.coeffs, chain)
-    return a if out is a.coeffs else QSeries._make(a.lo, a.prec, out)
+    multiply and -1 to divide and k any integer, applied by one
+    :func:`one_minus_chain` call, which copies the coefficients once; a
+    factor with k < 0 moves the window by k (multiply) or -k (divide)."""
+    out, shift = one_minus_chain(a.coeffs,
+                                 [(_coerce(g), k, e) for g, k, e in factors])
+    if out is a.coeffs and not shift:
+        return a
+    return QSeries._make(a.lo + shift, a.prec + shift, out)
 
 
 def mul_one_minus(a: QSeries, g: Rational, k: int) -> QSeries:
     """a * (1 - g*q^k) for any integer k; the factor is exact."""
-    g = _coerce(g)
-    if g == 0:
-        return a
-    if k == 0:
-        return a.scale(1 - g)
-    if k < 0:
-        # (1 - g*q^k) = (-g*q^k) * (1 - (1/g)*q^{-k})
-        return mul_one_minus(a, _div(1, g), -k).times_monomial(-g, k)
-    if k >= a.prec - a.lo:
-        return a  # the factor is 1 on the window
-    return QSeries._make(a.lo, a.prec, kernels.mul_one_minus(a.coeffs, g, k))
+    return one_minus_product(a, ((g, k, 1),))
 
 
 def div_one_minus(a: QSeries, g: Rational, k: int) -> QSeries:
     """a / (1 - g*q^k) for any integer k; the factor is exact."""
-    g = _coerce(g)
-    if g == 0:
-        return a
-    if k == 0:
-        if g == 1:
-            raise NotInvertibleError("division by (1 - q^0) which is zero")
-        return a.scale(_div(1, 1 - g))
-    if k < 0:
-        inv = _div(1, g)
-        return div_one_minus(a.times_monomial(-inv, -k), inv, -k)
-    if k >= a.prec - a.lo:
-        return a  # the factor is 1 on the window
-    return QSeries._make(a.lo, a.prec, kernels.div_one_minus(a.coeffs, g, k))
+    return one_minus_product(a, ((g, k, -1),))

@@ -1,9 +1,9 @@
 """The precision contract of every series builder, as one table checked by
 one property.
 
-A builder here is f(t, prec): a spread bound, box width or length t and a
-precision.  The ``overq.series`` docstring states the contract; each row of
-``ROWS`` gives what the contract leaves to the builder:
+A builder here is f(t, prec): a spread bound, box width or exponent t and
+a precision.  The ``overq.series`` docstring states the contract; each row
+of ``ROWS`` gives what the contract leaves to the builder:
 
 * its t domain, from ``t_min`` (to ``t_max`` when the domain is finite),
   and the exact error ``below`` that t = t_min - 1 raises;
@@ -11,7 +11,7 @@ precision.  The ``overq.series`` docstring states the contract; each row of
   [min(start(t), p), p), so every builder gives the empty window [p, p)
   below prec 1;
 * ``clamp(p)``: at prec p, the smallest t from which no larger t changes
-  the series or applies more one-minus factors.  A huge t, ``huge``, must
+  the series or applies more one-minus factors.  A huge t, ``HUGE``, must
   give the series of t = clamp(p) at no more factor applications, counted
   at ``kernels.one_minus_chain``, which ``kernels.mul_one_minus`` and
   ``div_one_minus`` reach as a module global.  ``clamp`` is None when the
@@ -46,12 +46,12 @@ from overq.qfunctions import (
     NonconvergentProductError,
     over_qbinom_ladder,
     over_qbinom_sum,
-    pochhammer,
     pochhammer_inf,
 )
 from overq.series import QMonomial
 
 BOX_HEIGHT = 4  # the over q-binomial rows read boxes t x BOX_HEIGHT
+HUGE = 10**9
 
 
 class Row(NamedTuple):
@@ -61,7 +61,6 @@ class Row(NamedTuple):
     clamp: Callable | None = None
     start: Callable = lambda t: 0
     t_max: int | None = None
-    huge: int = 10**9
 
 
 ROWS = {
@@ -91,9 +90,10 @@ ROWS = {
     "gf_g_direct": Row(
         gf_g_direct, 1, ValueError("gf_g_direct needs t >= 1, got 0"),
         clamp=lambda p: max(p - 2, 1)),
-    # Private: check_three_cases reads it at t >= 1 only, unchecked.
-    "_case_two_direct": Row(_case_two_direct, 1, None,
-                            clamp=lambda p: max(p - 2, 1)),
+    "_case_two_direct": Row(
+        _case_two_direct, 1,
+        ValueError("_case_two_direct needs t >= 1, got 0"),
+        clamp=lambda p: max(p - 2, 1)),
     "over_qbinom_sum": Row(
         lambda m, p: over_qbinom_sum(m, BOX_HEIGHT, p), 0,
         ValueError("q-binomial indices must be >= 0"),
@@ -102,12 +102,6 @@ ROWS = {
         lambda m, p: over_qbinom_ladder(m, BOX_HEIGHT, p), 0,
         ValueError("q-binomial indices must be >= 0"),
         clamp=lambda p: max(p - 1, 0)),
-    # (-q;q)_n.  Its loop steps once per factor, even past the window, so
-    # a huge n costs n steps (but no more kernel factors): huge is 10**5.
-    "pochhammer": Row(
-        lambda n, p: pochhammer(QMonomial(-1, 1), n, p), 0,
-        ValueError("Pochhammer length must be >= 0"),
-        clamp=lambda p: max(p - 1, 0), huge=10**5),
     # (-q^t;q)_oo.
     "pochhammer_inf": Row(
         lambda t, p: pochhammer_inf(QMonomial(-1, t), p), 1,
@@ -159,7 +153,7 @@ def test_every_builder_keeps_its_precision_contract(name, data):
 
     if row.clamp is not None:
         c = row.clamp(top)
-        huge, huge_n = applied(f, row.huge, top)
+        huge, huge_n = applied(f, HUGE, top)
         at_c, c_n = applied(f, c, top)
         assert huge == at_c and huge_n <= c_n, (c, huge_n, c_n)
         if t >= c:

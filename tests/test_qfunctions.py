@@ -1,5 +1,6 @@
-"""Pochhammer symbols, q-binomials (the over q-binomial by its explicit sum,
-its column recurrence and the box walk), and the phi evaluator."""
+"""The infinite Pochhammer symbol, q-binomials (the over q-binomial by its
+explicit sum, its column recurrence and the box walk), the phi evaluator
+and the q-Chu-Vandermonde check."""
 
 import operator
 import re
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute import iter_partitions, qbinom
+from brute import chu_right_side, iter_partitions, pochhammer, qbinom
 from overq import kernels, qfunctions
 from overq.enumeration import over_qbinom_box_oracle
 from overq.identities import gf_G
@@ -24,7 +25,6 @@ from overq.qfunctions import (
     over_qbinom_ladder,
     over_qbinom_sum,
     phi,
-    pochhammer,
     pochhammer_inf,
     verify_chu,
 )
@@ -53,46 +53,7 @@ def ints(s, lo=0):
     return [coeff(s, e) for e in range(lo, s.prec)]
 
 
-# -- pochhammer --------------------------------------------------------------------
-
-
-def test_pochhammer_small_products():
-    assert ints(pochhammer(Q, 2, 4)) == [1, -1, -1, 1]
-    assert ints(pochhammer(MINUS_Q, 2, 4)) == [1, 1, 1, 1]
-    assert ints(pochhammer(Q, 0, 3)) == [1, 0, 0]
-
-
-def test_pochhammer_negative_exponent_window():
-    s = pochhammer(QMonomial(1, -2), 2, 4)
-    assert s.lo == -3
-    assert ints(s, -3) == [1, -1, -1, 1, 0, 0, 0]
-
-
-def test_pochhammer_vanishes_exactly_when_factor_hits_one():
-    # (q^{-t}; q)_m contains the factor (1 - q^{-t} q^t) = 0 iff m > t
-    for t in range(0, 5):
-        for m in range(0, 7):
-            s = pochhammer(QMonomial(1, -t), m, 5)
-            vanished = all(c == 0 for c in s.coeffs)
-            assert vanished == (m > t), (t, m)
-
-
-def test_pochhammer_builds_only_the_window():
-    # A factor past the window is 1 on it, so a long product at a short
-    # prec costs no more than its first prec factors, and needs no room
-    # for the whole polynomial of degree n(n+1)/2.
-    n = 10**5
-    for a in (Q, MINUS_Q, QMonomial(2, 3)):
-        factor_by_factor = one(6)
-        for k in range(6):
-            factor_by_factor = mul_one_minus(factor_by_factor, a.coeff, a.exp + k)
-        got = pochhammer(a, n, 6)
-        assert (got.lo, got.prec) == (0, 6)
-        assert got == factor_by_factor, a
-    # Negative exponents shift the window down; the width stays prec - lo.
-    s = pochhammer(QMonomial(1, -3), n, 6)
-    assert (s.lo, s.prec) == (-6, 6)
-    assert ints(s, -6) == ints(pochhammer(QMonomial(1, -3), 10, 6), -6)
+# -- pochhammer_inf ----------------------------------------------------------------
 
 
 def test_pochhammer_inf_euler_signs():
@@ -629,15 +590,6 @@ def test_chu_hand_checked_instance():
     assert report.check.order == 9
 
 
-def test_chu_refuses_a_right_side_that_lost_precision(monkeypatch):
-    # The boost keeps the product side's window past prec; were it short,
-    # the check must stop with an internal error, not compare less.
-    real = qfunctions.div
-    monkeypatch.setattr(qfunctions, "div", lambda a, b: real(a, b).truncate(9))
-    with pytest.raises(QSeriesError, match="^internal: right side lost precision$"):
-        verify_chu(MINUS_ONE, 1, MINUS_Q, 10)
-
-
 def test_chu_empty_product_case():
     report = verify_chu(QMonomial(1, 3), 0, MINUS_Q, 8)
     assert report.passed
@@ -651,3 +603,34 @@ def test_chu_instances_used_in_the_main_proof(n):
     report = verify_chu(MINUS_ONE, n, MINUS_Q, 41)
     assert report.passed, report.message
     assert report.check.params == {"a": "-1", "c": "-q", "n": n}
+
+
+def grid_monomials(coeffs):
+    return [QMonomial(g, e) for g in coeffs for e in range(-3, 3)]
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_chu_right_side_matches_the_former_quotient(monkeypatch, n):
+    # verify_chu's right side is one product of its 2n one-minus factors on
+    # a window that ends at prec; the former route divided two Pochhammer
+    # symbols built at a boosted precision.  phi is stubbed, so that only
+    # the right side can raise, and the side is read where it is compared.
+    prec = 12
+    sides = []
+    real = qfunctions.comparison_report
+    monkeypatch.setattr(qfunctions, "phi", lambda *spec: one(prec))
+    monkeypatch.setattr(qfunctions, "comparison_report", lambda check, text, pair:
+                        sides.append(pair[1]) or real(check, text, pair))
+    for a in grid_monomials((1, -1, 2, Fraction(1, 3))):
+        for c in grid_monomials((1, -1, 2, -3)):
+            try:
+                want = chu_right_side(a, n, c, prec)
+            except QSeriesError as exc:
+                with pytest.raises(type(exc)):
+                    verify_chu(a, n, c, prec)
+                continue
+            verify_chu(a, n, c, prec)
+            got = sides.pop()
+            assert got.prec == prec, (a, c)
+            ok, mismatch = equal_to_order(got, want, prec - 1)
+            assert ok, (a, c, mismatch)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brute import former_div_one_minus, former_mul_one_minus
 from overq import kernels
 from overq.series import (
     EmptyWindowError,
@@ -19,6 +20,7 @@ from overq.series import (
     PrecisionExceededError,
     QMonomial,
     QSeries,
+    QSeriesError,
     WindowViolationError,
     add,
     coeff,
@@ -517,10 +519,9 @@ def windowed_series(draw):
 
 def test_one_minus_helpers_skip_factors_beyond_the_window(monkeypatch):
     calls = []
-    for name in ("mul_one_minus", "div_one_minus"):
-        real = getattr(kernels, name)
-        monkeypatch.setattr(kernels, name, lambda c, g, k, real=real: (
-            calls.append((len(c), k)) or real(c, g, k)))
+    real = kernels.one_minus_chain
+    monkeypatch.setattr(kernels, "one_minus_chain", lambda c, factors: (
+        calls.append((len(c), list(factors))) or real(c, factors)))
     a = QSeries(-2, 3, [1, 2, 0, -1, 4])
     for k in (5, 6, 40):
         for g in (1, -1, 2, F(1, 2)):
@@ -529,28 +530,34 @@ def test_one_minus_helpers_skip_factors_beyond_the_window(monkeypatch):
     assert calls == []
     mul_one_minus(a, 2, 4)
     div_one_minus(a, 2, 4)
-    assert calls == [(5, 4), (5, 4)]
+    assert calls == [(5, [(2, 4, 1)]), (5, [(2, 4, -1)])]
 
 
 # -- one_minus_product against one factor at a time -------------------------------
+#
+# The reference applies the factors one at a time with the former helpers,
+# each with its own k <= 0 rewrite (``brute.former_mul_one_minus`` and
+# ``former_div_one_minus``, kept verbatim).
 
 
 def one_factor_at_a_time(a, factors):
     for g, k, e in factors:
-        a = mul_one_minus(a, g, k) if e > 0 else div_one_minus(a, g, k)
+        step = former_mul_one_minus if e > 0 else former_div_one_minus
+        a = step(a, g, k)
     return a
 
 
 @st.composite
 def factor_lists(draw):
-    """Factors (g, k, e) with k from 1 to past every drawn window width,
-    then some of them repeated and some followed by their inverses, all
-    shuffled."""
-    base = draw(st.lists(st.tuples(
-        st.sampled_from((1, -1, 2, -3, 0, F(1, 2), F(-3, 1))),
-        st.integers(1, 12),
+    """Factors (g, k, e) with k from -4 to past every drawn window width,
+    (1 - q^0) among them, then some of them repeated and some followed by
+    their inverses, all shuffled."""
+    factor = st.tuples(
+        st.sampled_from((1, -1, 2, -3, 0, F(1, 2), F(-3, 1), F(1))),
+        st.integers(-4, 12),
         st.sampled_from((1, -1)),
-    ), max_size=6))
+    )
+    base = draw(st.lists(st.one_of(factor, st.just((1, 0, 1))), max_size=6))
     repeats = draw(st.lists(st.sampled_from(base), max_size=4)) if base else []
     inverses = [(g, k, -e) for g, k, e in
                 (draw(st.lists(st.sampled_from(base), max_size=4)) if base else [])]
@@ -560,10 +567,47 @@ def factor_lists(draw):
 @settings(max_examples=400, deadline=None)
 @given(a=st.one_of(int_series(), windowed_series()), factors=factor_lists())
 def test_one_minus_product_matches_one_factor_at_a_time(a, factors):
+    try:
+        want = one_factor_at_a_time(a, factors)
+    except QSeriesError as exc:
+        with pytest.raises(type(exc)):
+            one_minus_product(a, factors)
+        return
     got = one_minus_product(a, factors)
-    want = one_factor_at_a_time(a, factors)
     assert (got.lo, got.prec, got.coeffs) == (want.lo, want.prec, want.coeffs)
     assert list(map(type, got.coeffs)) == list(map(type, want.coeffs))
+
+
+def test_one_minus_product_rewrites_nonpositive_exponents():
+    a = QSeries(0, 4, [1, 2, 0, 5])
+    # (1 - 3) is a scalar; (1 - 2q^-1) = -2q^-1 (1 - q/2) moves the window
+    # down by 1, and its inverse moves it back up.
+    assert one_minus_product(a, [(3, 0, 1)]) == a.scale(-2)
+    down = one_minus_product(a, [(2, -1, 1)])
+    assert (down.lo, down.prec) == (-1, 3)
+    assert down == mul_one_minus(a, F(1, 2), 1).times_monomial(-2, -1)
+    assert one_minus_product(a, [(2, -1, 1), (2, -1, -1)]) == a.scale(F(1))
+    # A factor with g = -1 and -k past the window scales by 1 and only
+    # moves it.
+    moved = one_minus_product(a, [(-1, -6, 1)])
+    assert (moved.lo, moved.prec, moved.coeffs) == (-6, -2, a.coeffs)
+    with pytest.raises(NotInvertibleError):
+        one_minus_product(a, [(2, 1, 1), (1, 0, -1)])
+
+
+def test_a_vanishing_factor_keeps_the_types_of_one_factor_at_a_time():
+    # (1 - q^0) = 0 zeroes the product; a Fraction divisor makes Fractions
+    # of the nonzero entries it reaches, which it does before the zero
+    # factor and not after it.
+    a = QSeries(0, 5, [1, 0, 0, 0, 0])
+    half = (F(1, 2), 2, -1)
+    for factors in ([half, (1, 0, 1)], [(1, 0, 1), half]):
+        got = one_minus_product(a, factors)
+        want = one_factor_at_a_time(a, factors)
+        assert got.coeffs == (0,) * 5
+        assert list(map(type, got.coeffs)) == list(map(type, want.coeffs))
+    assert [type(c) for c in one_minus_product(a, [half, (1, 0, 1)]).coeffs] \
+        == [int, int, F, int, F]
 
 
 def test_one_minus_product_cancels_inverse_int_factors_only(monkeypatch):

@@ -97,8 +97,6 @@ EQUIVALENT = {
         "before the cut does not matter",
     "qfunctions.phi:lt-le:b5e859:0":
         "at equal starts the sum gains an empty prefix",
-    "qfunctions.verify_chu:add-sub:db5103:0":
-        "the precision boost can only grow, and the comparison reads prec - 1",
     "enumeration.over_qbinom_box_oracle.rec:gt-ge:8d2f96:0":
         "a call with largest value 0 lists nothing",
 }
