@@ -14,8 +14,8 @@ smallest part on its own and counts the copies of both end parts in bulk
 (see ``kernels.window_diff_counts``).  Its table is turned into every
 spread statistic at every spread bound it reaches, by weighted row sums and
 running sums over the spread (``_spread_statistics``), and a read takes a
-slice of one row of a walk made at ``kernels.bound(t)``: inside a request
-scope the reads of one n share one walk (see the kernels docstring).  The
+slice of the row ``kernels.row`` reads at t: inside a request scope the
+reads of one n share one walk (see the kernels docstring).  The
 overpartition totals are that walk's table at a bound that no partition of
 the sizes asked for exceeds, summed over every spread and distinct count,
 and are made afresh for each call.  The over q-binomial oracle walks the
@@ -62,11 +62,11 @@ def _require_t(t: int) -> None:
         raise ValueError(f"spread bound t must be >= 0, got {t}")
 
 
-def _spread_statistics(n_max: int, t: int) -> dict[str, list[list[int]]]:
+def _spread_statistics(t: int, n_max: int) -> list[dict[str, list[int]]]:
     """Every spread statistic for every bound up to min(t, n_max), from one
-    spread walk to n_max, as weighted row sums of its table c[s][d][n]: kind
-    -> rows by bound, each indexed by n.  No partition of n_max or less has
-    a spread past n_max, so the bound is clamped there.
+    spread walk to n_max, as weighted row sums of its table c[s][d][n]: rows
+    by bound, each kind -> counts indexed by n.  No partition of n_max or
+    less has a spread past n_max, so the bound is clamped there.
 
     p_t counts partitions with spread s <= t, p_exact_t those with s == t;
     pbar_t weighs each by 2**d (its overpartitions), and g_t does too except
@@ -76,28 +76,24 @@ def _spread_statistics(n_max: int, t: int) -> dict[str, list[list[int]]]:
     walk is looked up in kernels at the call, so a wrapper put there sees it.
     """
     width = n_max + 1
-    stats: dict[str, list[list[int]]] = {
-        kind: [] for kind in ("p_t", "p_exact_t", "pbar_t", "g_t")}
+    stats: list[dict[str, list[int]]] = []
     p = pbar = [0] * width
     for rows in kernels.window_diff_counts(n_max, min(t, n_max)):
         exact, half = [0] * width, [0] * width
         for d in range(1, len(rows)):
             exact[:] = map(add, exact, rows[d])
             half[:] = map(add, half, map(mul, repeat(1 << (d - 1)), rows[d]))
-        stats["g_t"].append(list(map(add, pbar, half)))
+        g = list(map(add, pbar, half))
         p = list(map(add, p, exact))
         pbar = list(map(add, pbar, map(add, half, half)))
-        stats["p_t"].append(p)
-        stats["p_exact_t"].append(exact)
-        stats["pbar_t"].append(pbar)
+        stats.append({"p_t": p, "p_exact_t": exact, "pbar_t": pbar, "g_t": g})
     return stats
 
 
 def _spread_counts(kind: str, t: int, lo: int, hi: int) -> list[int]:
     """Entries n = lo..hi of the spread statistic kind (see
     _spread_statistics) at bound t, from a walk to hi."""
-    rows = kernels.shared("spread walk", _spread_statistics, hi, kernels.bound(t))[kind]
-    return rows[min(t, len(rows) - 1)][lo : hi + 1]
+    return kernels.row(_spread_statistics, t, hi)[kind][lo : hi + 1]
 
 
 def count_p_bounded_diff(n: int, t: int) -> int:

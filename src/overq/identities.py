@@ -35,11 +35,11 @@ infinite products; inverse factors cancel there.  The proof chain and the
 three-case split compare halves, so they compare twice each side, as int
 series, and halve only a reported mismatch (``_halves_report``).
 
-The passes and the ``gf_pbar`` and ``gf_G`` series of the checks are read
-through ``kernels.shared``, which names each builder as this module names it
-at the call, so a replacement (a test's, or a tracer's wrapper) runs.  A
-pass is made at ``kernels.bound(t)``, clamped by its builder, and read at
-row min(t, last); the kernels docstring says how long each table is held.
+The ``gf_pbar`` and ``gf_G`` series of the checks are read through
+``kernels.shared`` and each row of a pass through ``kernels.row``, both
+given the builder as this module names it at the call, so a replacement (a
+test's, or a tracer's wrapper) runs; the kernels docstring says at which
+bound a pass is made and how long each table is held.
 """
 
 from __future__ import annotations
@@ -133,8 +133,6 @@ def gf_pbar(t: int, prec: int) -> QSeries:
     # (-q;q)_n/(q;q)_n on [0, prec), extended by one factor per n; its
     # constant term stays 1, so [0, *ratio[1:]] is the ratio minus 1.
     ratio = list(one(prec).coeffs)
-    if t == 0:
-        return divisors.scale(2)
     acc = [0, *divisors.coeffs]
     cap = min(t, prec - 1)
     for n in range(1, cap + 1):
@@ -157,9 +155,10 @@ def _window_series(coeffs: list, prec: int) -> QSeries:
     return QSeries._make(min(0, prec), prec, coeffs)
 
 
-def _smallest_part_sums(t_max: int, prec: int) -> tuple[list, list, list]:
+def _smallest_part_sums(t_max: int, prec: int) -> list[tuple]:
     """The direct sums over the smallest part m for every t <= t_max, made
-    in one pass over m: int coefficient lists on [0, prec), indexed by t,
+    in one pass over m: rows (pbar[t], g[t], case_two[t]) by t, each an int
+    coefficient list on [0, prec),
 
         pbar[t]     = sum_{m>=1} P_m(t)   (gf_pbar_direct),
         g[t]        = sum_{m>=1} G_m(t)   (gf_g_direct, t >= 1),
@@ -217,16 +216,7 @@ def _smallest_part_sums(t_max: int, prec: int) -> tuple[list, list, list]:
         run[:] = map(operator.add, run, tail[t])
         for acc in (pbar[t], g[t]):
             acc[:] = map(operator.add, acc, run)
-    return pbar, g, case_two
-
-
-def _smallest_part_sum(which: int, t: int, prec: int) -> QSeries:
-    """Row t of the _smallest_part_sums list which (0: pbar, 1: g,
-    2: case_two) at prec, as a series; a t past the pass's last row reads
-    that row."""
-    rows = kernels.shared("smallest-part pass", _smallest_part_sums,
-                          kernels.bound(t), prec)[which]
-    return _window_series(rows[min(t, len(rows) - 1)], prec)
+    return list(zip(pbar, g, case_two))
 
 
 def gf_pbar_direct(t: int, prec: int) -> QSeries:
@@ -239,7 +229,7 @@ def gf_pbar_direct(t: int, prec: int) -> QSeries:
     """
     if t < 0:
         raise ValueError(f"gf_pbar_direct needs t >= 0, got {t}")
-    return _smallest_part_sum(0, t, prec)
+    return _window_series(kernels.row(_smallest_part_sums, t, prec)[0], prec)
 
 
 def gf_g_direct(t: int, prec: int) -> QSeries:
@@ -248,7 +238,7 @@ def gf_g_direct(t: int, prec: int) -> QSeries:
     (1+q^{m+t}) overline choice."""
     if t < 1:
         raise ValueError(f"gf_g_direct needs t >= 1, got {t}")
-    return _smallest_part_sum(1, t, prec)
+    return _window_series(kernels.row(_smallest_part_sums, t, prec)[1], prec)
 
 
 def _case_two_direct(t: int, prec: int) -> QSeries:
@@ -256,7 +246,7 @@ def _case_two_direct(t: int, prec: int) -> QSeries:
     G_m the gf_g_direct summands, over the m with 2m + t < prec."""
     if t < 1:
         raise ValueError(f"_case_two_direct needs t >= 1, got {t}")
-    return _smallest_part_sum(2, t, prec)
+    return _window_series(kernels.row(_smallest_part_sums, t, prec)[2], prec)
 
 
 def _largest_part_sums(t: int, prec: int, lag: int) -> list:
@@ -375,7 +365,7 @@ def check_th1(t: int, order: int, _corrupt: bool = False) -> VerificationReport:
     """
     _require_order(order)
     prec = order + 1
-    closed = kernels.shared("gf_G", gf_G, t, prec)
+    closed = kernels.shared(gf_G, t, prec)
     if _corrupt:
         closed = mul_one_minus(closed, -1, 1)
     return _triple_report(
@@ -388,7 +378,7 @@ def check_th2(t: int, order: int) -> VerificationReport:
     """gf_pbar(t) against its direct sum and the count_opbar_bounded oracle."""
     _require_order(order)
     prec = order + 1
-    closed = kernels.shared("gf_pbar", gf_pbar, t, prec)
+    closed = kernels.shared(gf_pbar, t, prec)
     return _triple_report(
         "th2", t, order, closed, gf_pbar_direct(t, prec),
         oracle_series("pbar_t", t, order),
@@ -423,9 +413,9 @@ def check_pbar_g_relation(t: int, order: int) -> VerificationReport:
     return comparison_report(
         IdentityCheck("relation", {"t": t}, order),
         f"adjacent spread bounds recombine to order {order}",
-        (add(kernels.shared("gf_pbar", gf_pbar, t, prec),
-             kernels.shared("gf_pbar", gf_pbar, t - 1, prec)),
-         kernels.shared("gf_G", gf_G, t, prec).scale(2),
+        (add(kernels.shared(gf_pbar, t, prec),
+             kernels.shared(gf_pbar, t - 1, prec)),
+         kernels.shared(gf_G, t, prec).scale(2),
          "adjacent spread bounds fail to recombine"),
     )
 
@@ -437,13 +427,11 @@ def check_oqbinom_pbar(t: int, order: int) -> VerificationReport:
     if t < 0:
         raise ValueError(f"oqbinom check needs t >= 0, got {t}")
     prec = order + 1
-    rows = kernels.shared("largest-part sums", _largest_part_sums,
-                          kernels.bound(t), prec, 1)
-    lhs = _window_series(rows[min(t, len(rows) - 1)], prec)
+    lhs = _window_series(kernels.row(_largest_part_sums, t, prec, 1), prec)
     return comparison_report(
         IdentityCheck("oqbinom", {"t": t}, order),
         f"largest-part expansion over box polynomials matches to order {order}",
-        (lhs.scale(2), kernels.shared("gf_pbar", gf_pbar, t, prec),
+        (lhs.scale(2), kernels.shared(gf_pbar, t, prec),
          "largest-part expansion deviates from the closed form"),
     )
 
@@ -481,14 +469,12 @@ def _halves_report(
 def _case_sides(t: int, prec: int) -> tuple[QSeries, QSeries, QSeries, QSeries]:
     """Twice the sides that check_three_cases compares: case (2)'s closed
     form and its direct sum, then the sum of the three cases and gf_pbar(t)."""
-    full = kernels.shared("gf_pbar", gf_pbar, t, prec)
+    full = kernels.shared(gf_pbar, t, prec)
     case1 = _ratio_minus_one(t, prec)
-    twice_case2 = add(full, kernels.shared("gf_pbar", gf_pbar, t - 1, prec).scale(-1))
-    rows = kernels.shared("largest-part sums", _largest_part_sums,
-                          kernels.bound(t), prec, 0)
-    last = len(rows) - 1
-    case3 = _window_series(
-        list(map(operator.sub, rows[min(t, last)], rows[min(t - 1, last)])), prec)
+    twice_case2 = add(full, kernels.shared(gf_pbar, t - 1, prec).scale(-1))
+    case3 = _window_series(list(map(
+        operator.sub, kernels.row(_largest_part_sums, t, prec, 0),
+        kernels.row(_largest_part_sums, t - 1, prec, 0))), prec)
     return (twice_case2, _case_two_direct(t, prec).scale(2),
             add(add(case1, case3).scale(2), twice_case2), full.scale(2))
 
@@ -574,7 +560,7 @@ def _chain_steps(t: int, order: int) -> list[QSeries]:
     four = one_minus_product(
         add(one(prec), phi4.scale(-1)), [*_ratio_factors(1, t), (1, t, -1)])
 
-    five = kernels.shared("gf_G", gf_G, t, prec)
+    five = kernels.shared(gf_G, t, prec)
     return [gf_g_direct(t, prec), two, three, four, five]
 
 
@@ -614,7 +600,7 @@ def check_corollary(t: int, n_max: int) -> VerificationReport:
         raise ValueError(f"corollary needs t >= 0, got {t}")
     if n_max < 1:
         raise ValueError(f"corollary needs n_max >= 1, got {n_max}")
-    series = kernels.shared("gf_pbar", gf_pbar, t, n_max + 1)
+    series = kernels.shared(gf_pbar, t, n_max + 1)
     check = IdentityCheck("corollary", {"t": t, "n_max": n_max}, n_max)
     for n in range(1, n_max + 1):
         v = series.coeff(n)

@@ -33,13 +33,13 @@ spread bound that no partition of n_max or less exceeds.
 A request scope (:class:`RequestScope`), which ``identities.run_checks``
 opens with its spread bound t_max, holds the tables its checks share: the
 oracles' walk, the part-sum passes and the ``gf_pbar`` and ``gf_G`` series.
-:func:`shared` makes each once per key, on its first read, and every table
-goes when the scope closes, even on an error.  A table with one row per
-spread bound is made at the bound :func:`bound` gives its read: inside a
-scope at least t_max, so one walk and one pass serve every t in any order.
-Its builder clamps that bound to the last row that differs, and the reader
-takes row min(t, last).  Outside a scope each call makes its table at its
-own size.
+:func:`shared` makes each once per builder and arguments, on its first
+read, and every table goes when the scope closes, even on an error.  A
+table with one row per spread bound is read only through :func:`row`,
+which makes it at bound t outside a scope and at max(t, t_max) inside one,
+so one walk and one pass serve every t in any order; its builder clamps
+that bound to the last row that differs, and the read takes row
+min(t, last).
 """
 
 from itertools import accumulate, repeat
@@ -348,21 +348,23 @@ class RequestScope:
         _scope = None
 
 
-def bound(t):
-    """The spread bound to make a table read at t with: t outside a request
-    scope, and at least the scope's t_max inside one, so that one table
-    serves every t of the request."""
-    return t if _scope is None else max(t, _scope.t_max)
-
-
-def shared(name, build, *args):
-    """build(*args), made once per (name, *args) inside a request scope and
+def shared(build, *args):
+    """build(*args), made once per (build, *args) inside a request scope and
     held until it closes; outside one, a plain call."""
     scope = _scope
     if scope is None:
         return build(*args)
-    key = (name, *args)
+    key = (build, *args)
     table = scope.tables.get(key)
     if table is None:
         table = scope.tables[key] = build(*args)
     return table
+
+
+def row(build, t, *args):
+    """Row min(t, last) of the table build(b, *args), which takes a spread
+    bound b first and returns one row per bound up to its last: made through
+    :func:`shared` at b = t outside a request scope and at max(t, t_max)
+    inside one."""
+    rows = shared(build, t if _scope is None else max(t, _scope.t_max), *args)
+    return rows[min(t, len(rows) - 1)]

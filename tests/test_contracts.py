@@ -66,10 +66,8 @@ class Row(NamedTuple):
 ROWS = {
     "gf_G": Row(gf_G, 1, ValueError("gf_G needs t >= 1, got 0"),
                 clamp=lambda p: max(p - 1, 1)),
-    # t = 0 is twice the divisor series, whose window starts at 1.
     "gf_pbar": Row(gf_pbar, 0, ValueError("gf_pbar needs t >= 0, got -1"),
-                   clamp=lambda p: max(p - 1, 1) if p > 0 else 0,
-                   start=lambda t: 0 if t else 1),
+                   clamp=lambda p: max(p - 1, 1) if p > 1 else 0),
     "gf_bk": Row(gf_bk, 1, ValueError("gf_bk needs t >= 1, got 0"),
                  clamp=lambda p: max(p - 2, 1)),
     # Spread t needs n >= t + 2, and the window starts at t - 1 however

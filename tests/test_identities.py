@@ -178,7 +178,7 @@ def reference_gf_G(t, prec):
 
 
 def reference_gf_pbar(t, prec):
-    acc = lambert_divisor(prec)
+    acc = add(zero(prec), lambert_divisor(prec))
     minus_one = one(prec).scale(-1)
     ratio = one(prec)  # (-q;q)_n/(q;q)_n, extended by one factor per n
     for n in range(1, t + 1):
@@ -346,12 +346,9 @@ def test_smallest_part_sums_equal_the_rebuild_per_m_sums(build, reference, t_min
 # Each table with one row per spread bound, as (build(t, size), the last
 # row its builder makes at that bound, which no larger bound changes).
 _BOUND_TABLES = {
-    "spread-walk": (
-        lambda t, n: list(zip(*enumeration._spread_statistics(n, t).values())),
-        lambda t, n: min(t, n)),
-    "smallest-part": (
-        lambda t, prec: list(zip(*identities._smallest_part_sums(t, prec))),
-        lambda t, prec: min(t, max(prec - 2, 1))),
+    "spread-walk": (enumeration._spread_statistics, lambda t, n: min(t, n)),
+    "smallest-part": (identities._smallest_part_sums,
+                      lambda t, prec: min(t, max(prec - 2, 1))),
     "largest-part-lag-0": (
         lambda t, prec: _largest_part_sums(t, prec, 0),
         lambda t, prec: min(t, max(prec - 1, 0))),
@@ -434,32 +431,49 @@ def test_a_request_scope_makes_each_table_once_and_keeps_nothing(monkeypatch):
         made.append(args)
         return args
 
+    def rows(b, size):
+        made.append((b, size))
+        return [(i, size) for i in range(min(b, size) + 1)]
+
+    def other(b, size):
+        return rows(b, size)
+
     # Outside a scope nothing is kept, and a table is made at its read's t.
-    assert kernels.bound(3) == 3
-    assert kernels.shared("largest-part sums", build, 3, 10, 1) == (3, 10, 1)
-    assert kernels.shared("largest-part sums", build, 3, 10, 1) == (3, 10, 1)
-    assert made == [(3, 10, 1), (3, 10, 1)]
+    assert kernels.shared(build, 3, 10, 1) == (3, 10, 1)
+    assert kernels.shared(build, 3, 10, 1) == (3, 10, 1)
+    assert kernels.row(rows, 3, 10) == (3, 10)
+    assert kernels.row(rows, 3, 2) == (2, 2)
+    assert made == [(3, 10, 1), (3, 10, 1), (3, 10), (3, 2)]
     made.clear()
     with kernels.RequestScope(5):
-        # Inside one the bound is at least t_max, and each key (name and
-        # arguments) is made once.
-        assert [kernels.bound(t) for t in (0, 5, 7)] == [5, 5, 7]
-        for name, args in [("largest-part sums", (5, 10, 1)),
-                           ("largest-part sums", (5, 10, 1)),
-                           ("largest-part sums", (5, 10, 0)),
-                           ("smallest-part pass", (5, 10)),
-                           ("gf_pbar", (5, 10)),
-                           ("gf_pbar", (5, 10)),
-                           ("gf_pbar", (7, 10))]:
-            assert kernels.shared(name, build, *args) == args, (name, args)
-        assert made == [(5, 10, 1), (5, 10, 0), (5, 10), (5, 10), (7, 10)]
+        # Inside one each key (builder and arguments) is made once.
+        for args in [(5, 10, 1), (5, 10, 1), (5, 10, 0), (7, 10)]:
+            assert kernels.shared(build, *args) == args, args
+        assert made == [(5, 10, 1), (5, 10, 0), (7, 10)]
+        made.clear()
+        # A row read at any t <= t_max makes its table once, at t_max, and
+        # reads row min(t, last); a larger t makes its own table.
+        assert [kernels.row(rows, t, 10) for t in range(6)] == [
+            (t, 10) for t in range(6)]
+        assert [kernels.row(rows, t, 3) for t in range(6)] == [
+            (min(t, 3), 3) for t in range(6)]
+        assert made == [(5, 10), (5, 3)]
+        assert kernels.row(rows, 7, 10) == (7, 10)
+        assert kernels.row(rows, 7, 10) == (7, 10)
+        assert made == [(5, 10), (5, 3), (7, 10)]
+        made.clear()
+        # Two builders with equal arguments are two tables.
+        assert kernels.row(other, 2, 10) == (2, 10)
+        assert kernels.row(rows, 2, 10) == (2, 10)
+        assert made == [(5, 10)]
         with pytest.raises(RuntimeError):
             with kernels.RequestScope(1):
                 pass
     assert kernels._scope is None
     made.clear()
-    assert kernels.shared("gf_pbar", build, 5, 10) == (5, 10)
-    assert made == [(5, 10)]
+    assert kernels.shared(build, 5, 10) == (5, 10)
+    assert kernels.row(rows, 2, 10) == (2, 10)
+    assert made == [(5, 10), (2, 10)]
     # The scope closes when a check raises, and the next request opens one.
     monkeypatch.setattr(identities, "check_bk", lambda t, order: 1 / 0)
     with pytest.raises(ZeroDivisionError):
